@@ -83,80 +83,57 @@ ArmResult RunYcsbArm(std::string_view policy,
   return arm;
 }
 
-void PrintExtCounters(
-    const std::string& title,
-    const std::vector<std::pair<std::string, ArmResult>>& arms) {
-  harness::Table table(title,
-                       {"policy", "map lookups", "local-storage hits",
-                        "slot hit rate", "evict alloc", "arena reuses",
-                        "steady-state alloc", "lockless lookups",
-                        "lockless retries", "jit compiles", "jit ns",
-                        "interp fallbacks"});
-  for (const auto& [label, arm] : arms) {
-    const CgroupCacheStats& st = arm.cache_stats;
-    const uint64_t resolutions =
-        st.ext_map_lookups + st.ext_local_storage_hits;
-    const double hit_rate =
-        resolutions == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(st.ext_local_storage_hits) /
-                  static_cast<double>(resolutions);
-    table.AddRow({label, harness::FormatCount(st.ext_map_lookups),
-                  harness::FormatCount(st.ext_local_storage_hits),
-                  harness::FormatDouble(hit_rate, 1) + "%",
-                  harness::FormatBytes(st.ext_evict_alloc_bytes),
-                  harness::FormatCount(st.ext_evict_arena_reuses),
-                  harness::FormatBytes(arm.steady_state_evict_alloc_bytes),
-                  harness::FormatCount(st.ext_lockless_lookups),
-                  harness::FormatCount(st.ext_lockless_retries),
-                  harness::FormatCount(st.ext_ir_jit_compiles),
-                  harness::FormatCount(st.ext_ir_jit_ns),
-                  harness::FormatCount(st.ext_ir_interp_fallbacks)});
+namespace {
+
+std::string FormatCounter(CounterUnit unit, uint64_t value) {
+  switch (unit) {
+    case CounterUnit::kBytes:
+      return harness::FormatBytes(value);
+    case CounterUnit::kNs:
+      return harness::FormatNs(value);
+    case CounterUnit::kCount:
+    case CounterUnit::kPages:
+      break;
   }
-  table.Print();
+  return harness::FormatCount(value);
 }
 
-void PrintReclaimCounters(
-    const std::string& title,
-    const std::vector<std::pair<std::string, ArmResult>>& arms) {
-  harness::Table table(title,
-                       {"arm", "wakeups", "bg batches", "bg evicted",
-                        "bg reclaim", "direct entries", "direct reclaim",
-                        "emergency", "trips", "psi some", "psi full"});
-  for (const auto& [label, arm] : arms) {
-    const CgroupCacheStats& st = arm.cache_stats;
-    table.AddRow({label, harness::FormatCount(st.reclaim_wakeups),
-                  harness::FormatCount(st.reclaim_background_batches),
-                  harness::FormatCount(st.reclaim_background_evicted),
-                  harness::FormatNs(st.ext_background_reclaim_ns),
-                  harness::FormatCount(st.reclaim_direct_entries),
-                  harness::FormatNs(st.ext_direct_reclaim_ns),
-                  harness::FormatCount(st.reclaim_emergency_entries),
-                  harness::FormatCount(st.reclaim_watchdog_trips),
-                  harness::FormatNs(st.psi_some_ns),
-                  harness::FormatNs(st.psi_full_ns)});
-  }
-  table.Print();
-}
+}  // namespace
 
-void PrintWritebackCounters(
-    const std::string& title,
-    const std::vector<std::pair<std::string, ArmResult>>& arms) {
-  harness::Table table(title,
-                       {"arm", "dirty gauge", "wakeups", "ticks", "extents",
-                        "deferred", "throttles", "throttle ns", "wb ns",
-                        "syncs"});
+void PrintCounters(const std::string& title, CounterLayer layer,
+                   const std::vector<std::pair<std::string, ArmResult>>& arms) {
+  const bool policy = layer == CounterLayer::kPolicy;
+  std::vector<const CgroupCounterInfo*> rows;
+  std::vector<std::string> columns = {"arm"};
+  for (const CgroupCounterInfo& info : kCgroupCounters) {
+    if (info.layer == layer) {
+      rows.push_back(&info);
+      columns.emplace_back(info.name);
+    }
+  }
+  if (policy) {
+    columns.emplace_back("slot hit rate");
+    columns.emplace_back("steady-state alloc");
+  }
+  harness::Table table(title, columns);
   for (const auto& [label, arm] : arms) {
     const CgroupCacheStats& st = arm.cache_stats;
-    table.AddRow({label, harness::FormatCount(st.dirty_pages),
-                  harness::FormatCount(st.writeback_wakeups),
-                  harness::FormatCount(st.writeback_flush_ticks),
-                  harness::FormatCount(st.writeback_extents),
-                  harness::FormatCount(st.writeback_deferred_pages),
-                  harness::FormatCount(st.writeback_throttle_entries),
-                  harness::FormatNs(st.ext_dirty_throttle_ns),
-                  harness::FormatNs(st.ext_writeback_ns),
-                  harness::FormatCount(st.writeback_sync_entries)});
+    std::vector<std::string> cells = {label};
+    for (const CgroupCounterInfo* info : rows) {
+      cells.push_back(FormatCounter(info->unit, st[info->id]));
+    }
+    if (policy) {
+      const uint64_t resolutions =
+          st.ext_map_lookups + st.ext_local_storage_hits;
+      const double hit_rate =
+          resolutions == 0
+              ? 0.0
+              : 100.0 * static_cast<double>(st.ext_local_storage_hits) /
+                    static_cast<double>(resolutions);
+      cells.push_back(harness::FormatDouble(hit_rate, 1) + "%");
+      cells.push_back(harness::FormatBytes(arm.steady_state_evict_alloc_bytes));
+    }
+    table.AddRow(cells);
   }
   table.Print();
 }

@@ -66,26 +66,12 @@ ArmResult RunYcsbArm(std::string_view policy,
                      workloads::YcsbWorkload workload,
                      const YcsbBenchConfig& config = {});
 
-// Prints the per-policy hot-path counters (map lookups vs folio-local
-// storage hits, eviction-arena traffic) as a harness::Table.
-void PrintExtCounters(
-    const std::string& title,
-    const std::vector<std::pair<std::string, ArmResult>>& arms);
-
-// Prints the per-arm reclaim counters (wakeups, background vs direct
-// batches and reclaim-ns, emergency entries, watchdog trips, PSI stall
-// time) as a harness::Table.
-void PrintReclaimCounters(
-    const std::string& title,
-    const std::vector<std::pair<std::string, ArmResult>>& arms);
-
-// Prints the per-arm writeback counters: the LIVE dirty-page gauge at
-// snapshot time, flusher wakeups/ticks/extents, hook-deferred pages,
-// writer throttling (entries + stall ns), flusher-lane writeback CPU, and
-// fsync entries — the balance_dirty_pages / bdi-flusher split.
-void PrintWritebackCounters(
-    const std::string& title,
-    const std::vector<std::pair<std::string, ArmResult>>& arms);
+// Prints one column per counter-table row of `layer`
+// (src/cgroup/counters.h), named after the row and formatted by its unit,
+// as a harness::Table. The kPolicy table adds two derived columns: the
+// folio-local-storage slot hit rate and the steady-state eviction alloc.
+void PrintCounters(const std::string& title, CounterLayer layer,
+                   const std::vector<std::pair<std::string, ArmResult>>& arms);
 
 // --- bench-smoke baseline plumbing (tools/check.sh --bench-smoke) ---
 

@@ -228,8 +228,7 @@ int Main(int argc, char** argv) {
     counter_rows.emplace_back(p.arm + "_" + std::to_string(p.threads) + "t",
                               arm);
   }
-  PrintExtCounters("Hit-path counters (lockless lookups / retries)",
-                   counter_rows);
+  PrintCounters("Page-cache counters", CounterLayer::kPageCache, counter_rows);
 
   std::vector<BenchPoint> bench_points;
   for (const Point& p : points) {

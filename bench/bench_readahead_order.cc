@@ -330,8 +330,7 @@ int Main(int argc, char** argv) {
     arm.cache_stats = p.stats;
     counter_rows.emplace_back(p.name, arm);
   }
-  PrintExtCounters("Hit-path counters (lockless lookups / retries)",
-                   counter_rows);
+  PrintCounters("Page-cache counters", CounterLayer::kPageCache, counter_rows);
 
   harness::Table order_table(
       "Readahead / multi-order counters",

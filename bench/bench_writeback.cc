@@ -343,8 +343,8 @@ int Main(int argc, char** argv) {
   add_counters("storm async x8", storm_async_8);
   add_counters("write inline x8", write_inline_8);
   add_counters("write async x8", write_async_8);
-  PrintWritebackCounters("Writeback counters (8-lane arms, writer 0's domain)",
-                         counter_rows);
+  PrintCounters("Writeback counters (8-lane arms, writer 0's domain)",
+                CounterLayer::kWriteback, counter_rows);
 
   const std::vector<BenchPoint> bench_points = {
       {"fsync_p99_inline_1", storm_inline_1.fsync_p99_us * 1000.0},

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "src/cgroup/counters.h"
 #include "src/mm/folio.h"
 
 namespace cache_ext {
@@ -75,13 +76,14 @@ struct PolicyHookHealth {
 };
 
 // Hot-path observability counters a policy reports through
-// ReclaimPolicy::RuntimeCounters(), surfaced as the ext_* fields of
-// CgroupCacheStats. `map_lookups` is per-folio metadata resolutions that
-// paid a hash probe (explicit hash maps, or the local-storage fallback
-// path); `local_storage_hits` is resolutions served by a folio-embedded
-// storage slot (one indexed load, see src/bpf/folio_local_storage.h);
-// `evict_alloc_bytes` is cumulative heap bytes the eviction scoring path
-// allocated (zero growth in steady state once the arena has warmed up).
+// ReclaimPolicy::RuntimeCounters(), surfaced as the kPolicy rows of the
+// counter table (src/cgroup/counters.h). `map_lookups` is per-folio
+// metadata resolutions that paid a hash probe (explicit hash maps, or the
+// local-storage fallback path); `local_storage_hits` is resolutions served
+// by a folio-embedded storage slot (one indexed load, see
+// src/bpf/folio_local_storage.h); `evict_alloc_bytes` is cumulative heap
+// bytes the eviction scoring path allocated (zero growth in steady state
+// once the arena has warmed up).
 struct PolicyRuntimeCounters {
   uint64_t map_lookups = 0;
   uint64_t local_storage_hits = 0;
@@ -93,6 +95,20 @@ struct PolicyRuntimeCounters {
   uint64_t ir_jit_compiles = 0;
   uint64_t ir_jit_ns = 0;
   uint64_t ir_interp_fallbacks = 0;
+
+  // Calls fn(row, value) for each field with the counter-table row that
+  // reports it: the one mapping behind both the detach fold and the live
+  // overlay in PageCache.
+  template <typename Fn>
+  void ForEachRow(Fn&& fn) const {
+    fn(CgroupCounter::ext_map_lookups, map_lookups);
+    fn(CgroupCounter::ext_local_storage_hits, local_storage_hits);
+    fn(CgroupCounter::ext_evict_alloc_bytes, evict_alloc_bytes);
+    fn(CgroupCounter::ext_evict_arena_reuses, evict_arena_reuses);
+    fn(CgroupCounter::ext_ir_jit_compiles, ir_jit_compiles);
+    fn(CgroupCounter::ext_ir_jit_ns, ir_jit_ns);
+    fn(CgroupCounter::ext_ir_interp_fallbacks, ir_interp_fallbacks);
+  }
 };
 
 // Who is asking for eviction candidates: an allocating task doing direct

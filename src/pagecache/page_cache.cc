@@ -14,6 +14,18 @@ namespace cache_ext {
 
 namespace {
 
+// folio_added/folio_accessed notifications are buffered per operation and
+// dispatched to the owning cgroup's policies in batches of up to this many
+// events (drained at reclaim boundaries and operation end), charging one
+// amortized hook-dispatch cost per batch — the hot-path analogue of the
+// batch-scoring mode in eviction_list (§4.2.3).
+constexpr uint32_t kHookBatchSize = 16;
+static_assert(kHookBatchSize <= kMaxEvictionBatch);
+
+// Direct reclaim gives up and OOM-kills the cgroup after this many
+// consecutive zero-progress rounds (kernel: MAX_RECLAIM_RETRIES).
+constexpr int kMaxReclaimRetries = 8;
+
 std::unique_ptr<ReclaimPolicy> MakeBasePolicy(BasePolicyKind kind,
                                               const CpuCostModel& costs) {
   switch (kind) {
@@ -31,8 +43,6 @@ PageCache::PageCache(SimDisk* disk, SsdModel* ssd, PageCacheOptions options)
     : disk_(disk), ssd_(ssd), options_(options) {
   CHECK_NOTNULL(disk_);
   CHECK_NOTNULL(ssd_);
-  options_.hook_batch_size = std::clamp<uint32_t>(
-      options_.hook_batch_size, 1, static_cast<uint32_t>(kMaxEvictionBatch));
   if (options_.reclaim.background && options_.reclaim.use_threads) {
     reclaimer_pool_ = std::make_unique<reclaim::ReclaimerPool>(
         options_.reclaim,
@@ -86,9 +96,9 @@ MemCgroup* PageCache::CreateCgroup(std::string_view name, uint64_t limit_bytes,
   state->base = MakeBasePolicy(base, options_.costs);
   state->base_event_cost_ns = state->base->PerEventCostNs();
   state->reclaim = std::make_unique<reclaim::CgroupReclaimControl>(
-      static_cast<uint32_t>(state->cg->id()));
+      static_cast<uint32_t>(state->cg->id()), state->counters);
   state->flush = std::make_unique<writeback::CgroupFlushControl>(
-      static_cast<uint32_t>(state->cg->id()));
+      static_cast<uint32_t>(state->cg->id()), state->counters);
   state->cg->set_priv(state.get());
   MemCgroup* cg = state->cg.get();
   if (reclaimer_pool_ != nullptr) {
@@ -146,7 +156,7 @@ Status PageCache::AttachExtPolicy(MemCgroup* cg,
     return AlreadyExists("cgroup already has an ext policy attached");
   }
   st->ext = std::move(policy);
-  st->stats.ext_violations.store(0, std::memory_order_relaxed);
+  st->counters.Set(CgroupCounter::ext_violations, 0);
   st->watchdog_detached.store(false, std::memory_order_relaxed);
   // A fresh attachment starts with a clean reclaim-failure record — the
   // streak belongs to a policy, not the cgroup.
@@ -189,27 +199,16 @@ Status PageCache::DetachExtPolicy(MemCgroup* cg) {
   // cumulative counters so post-mortem stats survive the detach.
   const PolicyHookHealth health = st->ext->HookHealth();
   for (uint32_t i = 0; i < kNumPolicyHooks; ++i) {
-    st->stats.ext_hook_trip_counts[i].fetch_add(health.trips[i],
-                                                std::memory_order_relaxed);
-  }
-  // Same for the hot-path counters (map probes, local-storage hits,
-  // eviction-arena bytes): fold the attachment's totals so StatsFor
-  // keeps reporting them after the policy is gone.
-  const PolicyRuntimeCounters counters = st->ext->RuntimeCounters();
-  st->stats.ext_map_lookups.fetch_add(counters.map_lookups,
-                                      std::memory_order_relaxed);
-  st->stats.ext_local_storage_hits.fetch_add(counters.local_storage_hits,
-                                             std::memory_order_relaxed);
-  st->stats.ext_evict_alloc_bytes.fetch_add(counters.evict_alloc_bytes,
-                                            std::memory_order_relaxed);
-  st->stats.ext_evict_arena_reuses.fetch_add(counters.evict_arena_reuses,
-                                             std::memory_order_relaxed);
-  st->stats.ext_ir_jit_compiles.fetch_add(counters.ir_jit_compiles,
+    st->ext_hook_trip_counts[i].fetch_add(health.trips[i],
                                           std::memory_order_relaxed);
-  st->stats.ext_ir_jit_ns.fetch_add(counters.ir_jit_ns,
-                                    std::memory_order_relaxed);
-  st->stats.ext_ir_interp_fallbacks.fetch_add(counters.ir_interp_fallbacks,
-                                              std::memory_order_relaxed);
+  }
+  // Same for the policy's own counters (map probes, local-storage hits,
+  // eviction-arena bytes, JIT): fold the attachment's totals so StatsFor
+  // keeps reporting them after the policy is gone.
+  st->ext->RuntimeCounters().ForEachRow([st](CgroupCounter row,
+                                             uint64_t value) {
+    st->counters.Add(row, value);
+  });
   st->ext_active_hint.store(false, std::memory_order_release);
   st->ext.reset();
   return OkStatus();
@@ -227,7 +226,7 @@ ReclaimPolicy* PageCache::ext_policy(MemCgroup* cg) {
 void PageCache::RecordLoadRejection(MemCgroup* cg) {
   CgroupState* st = StateFor(cg);
   if (st != nullptr) {
-    st->stats.rejected_at_load.fetch_add(1, std::memory_order_relaxed);
+    st->counters.Add(CgroupCounter::rejected_at_load);
   }
 }
 
@@ -237,10 +236,10 @@ void PageCache::SetQuarantineInfo(MemCgroup* cg, bool quarantined, bool banned,
   if (st == nullptr) {
     return;
   }
-  st->stats.ext_quarantined.store(quarantined, std::memory_order_relaxed);
-  st->stats.ext_banned.store(banned, std::memory_order_relaxed);
-  st->stats.ext_reattach_attempts.store(reattach_attempts,
-                                        std::memory_order_relaxed);
+  st->ext_quarantined.store(quarantined, std::memory_order_relaxed);
+  st->ext_banned.store(banned, std::memory_order_relaxed);
+  st->ext_reattach_attempts.store(reattach_attempts,
+                                  std::memory_order_relaxed);
 }
 
 bool PageCache::ExtActive(CgroupState& st) {
@@ -290,7 +289,7 @@ void PageCache::Append(Lane& lane, DispatchBatch& batch, CgroupState* owner,
     }
   }
   batch.entries[batch.size++] = PendingHook{folio, owner, event};
-  if (batch.size >= options_.hook_batch_size) {
+  if (batch.size >= kHookBatchSize) {
     if (locked != nullptr) {
       DrainLocked(lane, batch, *locked);
     } else {
@@ -367,7 +366,7 @@ void PageCache::DispatchRemoved(Lane& lane, CgroupState& st, Folio* folio) {
 
 Folio* PageCache::LocklessLookup(AddressSpace* as, uint64_t index,
                                  CgroupState& reader) {
-  reader.stats.ext_lockless_lookups.fetch_add(1, std::memory_order_relaxed);
+  reader.counters.Add(CgroupCounter::ext_lockless_lookups);
   // rcu_read_lock: everything reachable through the xarray stays allocated
   // until the guard drops, even if a racing remover unmaps and retires it.
   ebr::Guard guard;
@@ -383,8 +382,7 @@ Folio* PageCache::LocklessLookup(AddressSpace* as, uint64_t index,
       // Frozen: a remover committed to freeing this folio between our
       // slot load and the pin. Retry into the locked slow path, which
       // waits out the removal on the stripe.
-      reader.stats.ext_lockless_retries.fetch_add(1,
-                                                  std::memory_order_relaxed);
+      reader.counters.Add(CgroupCounter::ext_lockless_retries);
       return nullptr;
     }
     // Revalidate like folio_try_get + the re-check in filemap_get_entry:
@@ -400,14 +398,13 @@ Folio* PageCache::LocklessLookup(AddressSpace* as, uint64_t index,
       return folio;
     }
     folio->Unpin();
-    reader.stats.ext_lockless_retries.fetch_add(1, std::memory_order_relaxed);
+    reader.counters.Add(CgroupCounter::ext_lockless_retries);
   }
   return nullptr;
 }
 
 uint32_t PageCache::SelectOrder(Lane& lane, CgroupState& st, AddressSpace* as,
-                                uint64_t index, bool is_write,
-                                uint32_t nr_wanted) {
+                                uint64_t index, uint32_t nr_wanted) {
   if (!ExtActive(st)) {
     return 0;
   }
@@ -436,7 +433,7 @@ uint32_t PageCache::SelectOrder(Lane& lane, CgroupState& st, AddressSpace* as,
   const bool pressure =
       nr > st.cg->limit_pages() || st.cg->OverLimit();
   if (misaligned || past_eof || pressure) {
-    st.stats.ext_order_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    st.counters.Add(CgroupCounter::ext_order_fallbacks);
     return 0;
   }
   return order;
@@ -483,7 +480,7 @@ Folio* PageCache::InsertFolio(Lane& lane, AddressSpace* as, CgroupState& st,
     }
   }
 
-  uint32_t order = SelectOrder(lane, st, as, index, is_write, nr_wanted);
+  uint32_t order = SelectOrder(lane, st, as, index, nr_wanted);
 
   lane.Charge(options_.costs.miss_setup_ns);
 
@@ -507,8 +504,7 @@ Folio* PageCache::InsertFolio(Lane& lane, AddressSpace* as, CgroupState& st,
       for (uint64_t i = index + 1; i < index + (1ull << order); ++i) {
         if (as->FindFolio(i) != nullptr) {
           order = 0;
-          st.stats.ext_order_fallbacks.fetch_add(1,
-                                                 std::memory_order_relaxed);
+          st.counters.Add(CgroupCounter::ext_order_fallbacks);
           break;
         }
       }
@@ -544,14 +540,13 @@ Folio* PageCache::InsertFolio(Lane& lane, AddressSpace* as, CgroupState& st,
     cg->ChargePages(nr);
     cg->stat_insertions.fetch_add(1, std::memory_order_relaxed);
     if (order > 0) {
-      st.stats.ext_order_folios.fetch_add(1, std::memory_order_relaxed);
-      st.stats.ext_order_pages.fetch_add(nr, std::memory_order_relaxed);
+      st.counters.Add(CgroupCounter::ext_order_folios);
+      st.counters.Add(CgroupCounter::ext_order_pages, nr);
     }
   }
 
   if (via_readahead) {
-    st.stats.readahead_pages.fetch_add(folio->nr_pages(),
-                                       std::memory_order_relaxed);
+    st.counters.Add(CgroupCounter::readahead_pages, folio->nr_pages());
   }
 
   if (refault.is_refault) {
@@ -620,7 +615,7 @@ bool PageCache::RemoveFolio(Lane& lane, CgroupState& st, AddressSpace* as,
       }
       as->NoteWritebackCompletion(completion);
       as->wb_seq_done.fetch_add(1, std::memory_order_release);
-      st.stats.writeback_pages.fetch_add(nr, std::memory_order_relaxed);
+      st.counters.Add(CgroupCounter::writeback_pages, nr);
     }
 
     XEntry shadow = XEntry::Empty();
@@ -629,7 +624,7 @@ bool PageCache::RemoveFolio(Lane& lane, CgroupState& st, AddressSpace* as,
       shadow = WorkingsetEviction(cg, tier);
       cg->stat_evictions.fetch_add(1, std::memory_order_relaxed);
     } else {
-      st.stats.invalidations.fetch_add(1, std::memory_order_relaxed);
+      st.counters.Add(CgroupCounter::invalidations);
     }
     if (nr == 1) {
       as->pages().Store(base, shadow);
@@ -717,10 +712,10 @@ void PageCache::InvalidateForDontNeed(Lane& lane, CgroupState& st,
           ssd_->SubmitWrite(lane.now_ns(), dropped * kPageSize);
       lane.Charge(dropped * options_.costs.writeback_page_ns);
       as->NoteWritebackCompletion(completion);
-      st.stats.writeback_pages.fetch_add(dropped, std::memory_order_relaxed);
+      st.counters.Add(CgroupCounter::writeback_pages, dropped);
     }
   }
-  st.stats.ext_order_splits.fetch_add(1, std::memory_order_relaxed);
+  st.counters.Add(CgroupCounter::ext_order_splits);
   std::vector<Folio*> kept;
   uint64_t kept_dirty = 0;
   {
@@ -808,7 +803,7 @@ uint64_t PageCache::RunEvictionBatch(Lane& lane, CgroupState& st,
     bool violation = false;
     if (!CandidateValid(st, folio, use_ext, &violation)) {
       if (violation) {
-        st.stats.ext_violations.fetch_add(1, std::memory_order_relaxed);
+        st.counters.Add(CgroupCounter::ext_violations);
       }
       continue;
     }
@@ -838,19 +833,19 @@ uint64_t PageCache::RunEvictionBatch(Lane& lane, CgroupState& st,
                       RemovalKind::kEvict)) {
         ++evicted;
         ++fallback_evicted;
-        st.stats.fallback_evictions.fetch_add(1, std::memory_order_relaxed);
+        st.counters.Add(CgroupCounter::fallback_evictions);
         lane.Charge(options_.costs.reclaim_per_folio_ns);
       }
     }
   }
 
   // Watchdog (§4.4): forcibly unload a persistently misbehaving policy.
-  if (use_ext && st.stats.ext_violations.load(std::memory_order_relaxed) >
+  if (use_ext && st.counters.Get(CgroupCounter::ext_violations) >
                      options_.watchdog_violation_limit) {
     LOG_WARNING << "cache_ext watchdog: detaching policy '"
                 << st.ext->name() << "' from cgroup '" << cg->name()
                 << "' after "
-                << st.stats.ext_violations.load(std::memory_order_relaxed)
+                << st.counters.Get(CgroupCounter::ext_violations)
                 << " invalid candidates";
     st.watchdog_detached.store(true, std::memory_order_relaxed);
     st.ext_active_hint.store(false, std::memory_order_release);
@@ -898,7 +893,7 @@ void PageCache::DirectReclaim(Lane& lane, CgroupState& st,
     total_evicted += evicted;
     if (evicted == 0) {
       zero_progress_ns += lane.now_ns() - round_start_ns;
-      if (++zero_progress_rounds >= options_.max_reclaim_retries) {
+      if (++zero_progress_rounds >= kMaxReclaimRetries) {
         st.oom_killed.store(true, std::memory_order_relaxed);
         cg->stat_oom_events.fetch_add(1, std::memory_order_relaxed);
         LOG_WARNING << "memcg OOM: cgroup '" << cg->name()
@@ -943,7 +938,7 @@ void PageCache::BackgroundTick(CgroupState& st, DispatchBatch* batch,
   const uint64_t start_ns = rlane.now_ns();
   uint32_t batches = 0;
   while (!wm.TargetReached(cg->charged_pages()) &&
-         batches < options_.reclaim.max_batches_per_tick) {
+         batches < reclaim::kMaxBatchesPerTick) {
     if (rc.InjectedUnderReclaim()) {
       break;  // chaos: give up early, occupancy drifts toward the limit
     }
@@ -1035,7 +1030,7 @@ void PageCache::ReclaimIfNeeded(Lane& lane, CgroupState& st,
   // kick can help (healthy lane, or a backed-off probe of a stalled one),
   // try that once before paying inline.
   const uint64_t overshoot = cg->charged_pages() - cg->limit_pages();
-  if (rc.NoteEmergencyEntry(overshoot, options_.reclaim)) {
+  if (rc.NoteEmergencyEntry(overshoot)) {
     KickBackground(lane, st, batch);
     if (!cg->OverLimit()) {
       return;
@@ -1073,7 +1068,7 @@ void PageCache::FlushTick(CgroupState& st, DispatchBatch* batch,
   }
   const uint64_t start_ns = wlane.now_ns();
   const bool use_ext = ExtActive(st);
-  uint64_t budget = options_.writeback.max_pages_per_tick;
+  uint64_t budget = writeback::kMaxPagesPerTick;
 
   // Harvest: walk each dirty file under its stripe, clear dirty bits, mark
   // + pin the folios for the in-flight window (kFolioWriteback; the pin
@@ -1155,7 +1150,7 @@ void PageCache::FlushTick(CgroupState& st, DispatchBatch* batch,
     while (j + 1 < items.size() && items[j + 1].mapping == items[j].mapping &&
            items[j + 1].index == items[j].index + items[j].nr_pages &&
            run_pages + items[j + 1].nr_pages <=
-               options_.writeback.max_extent_pages) {
+               writeback::kMaxExtentPages) {
       ++j;
       run_pages += items[j].nr_pages;
     }
@@ -1163,7 +1158,7 @@ void PageCache::FlushTick(CgroupState& st, DispatchBatch* batch,
         ssd_->SubmitWrite(wlane.now_ns(), run_pages * kPageSize);
     wlane.Charge(run_pages * options_.costs.writeback_page_ns);
     items[i].mapping->NoteWritebackCompletion(completion);
-    st.stats.writeback_pages.fetch_add(run_pages, std::memory_order_relaxed);
+    st.counters.Add(CgroupCounter::writeback_pages, run_pages);
     for (size_t k = i; k <= j; ++k) {
       items[k].folio->ClearFlag(kFolioWriteback);
       items[k].mapping->wb_seq_done.fetch_add(1, std::memory_order_release);
@@ -1184,7 +1179,7 @@ void PageCache::FlushTick(CgroupState& st, DispatchBatch* batch,
     items[k].folio->Unpin();
   }
   if (pages > 0) {
-    fc.NoteFlush(pages, extents);
+    fc.NoteFlush(extents);
   }
   fc.NoteWritebackNs(wlane.now_ns() - start_ns);
   if (dl.TargetReached(fc.nr_dirty())) {
@@ -1254,7 +1249,7 @@ void PageCache::BalanceDirtyLocked(Lane& lane, CgroupState& st,
   while (dl.NeedsThrottle(fc.nr_dirty()) &&
          rounds < options_.writeback.max_throttle_rounds) {
     KickFlusher(lane, st, batch);
-    lane.Charge(options_.writeback.throttle_pause_ns);
+    lane.Charge(writeback::kThrottlePauseNs);
     if (flusher_pool_ != nullptr) {
       std::this_thread::yield();  // real threads: let the flusher run
     }
@@ -1315,7 +1310,7 @@ uint32_t PageCache::ReadaheadWindow(Lane& lane, CgroupState& st,
     if (requested >= 0) {
       const int64_t cap = static_cast<int64_t>(options_.max_readahead_pages);
       if (requested > cap) {
-        st.stats.ext_readahead_clamped.fetch_add(1, std::memory_order_relaxed);
+        st.counters.Add(CgroupCounter::ext_readahead_clamped);
         requested = cap;
       }
       return static_cast<uint32_t>(requested);
@@ -1469,7 +1464,7 @@ Status PageCache::Read(Lane& lane, AddressSpace* as, MemCgroup* cg,
         cg->stat_misses.fetch_add(1, std::memory_order_relaxed);
         if (inserted == nullptr) {
           ++next_index;
-          st->stats.direct_reads.fetch_add(1, std::memory_order_relaxed);
+          st->counters.Add(CgroupCounter::direct_reads);
           continue;
         }
         // The inserted folio may span past next_index (multi-order); the
@@ -1610,7 +1605,7 @@ Status PageCache::Write(Lane& lane, AddressSpace* as, MemCgroup* cg,
         if (inserted == nullptr) {
           // Admission denied: service like direct I/O — the lane waits for
           // the device write.
-          st->stats.direct_writes.fetch_add(1, std::memory_order_relaxed);
+          st->counters.Add(CgroupCounter::direct_writes);
           const uint64_t completion =
               ssd_->SubmitWrite(lane.now_ns(), kPageSize);
           lane.AdvanceTo(completion);
@@ -1714,7 +1709,7 @@ Status PageCache::SyncFile(Lane& lane, AddressSpace* as) {
     while (j + 1 < items.size() &&
            items[j + 1].index == items[j].index + items[j].nr_pages &&
            run_pages + items[j + 1].nr_pages <=
-               options_.writeback.max_extent_pages) {
+               writeback::kMaxExtentPages) {
       ++j;
       run_pages += items[j].nr_pages;
     }
@@ -1725,8 +1720,7 @@ Status PageCache::SyncFile(Lane& lane, AddressSpace* as) {
     for (size_t k = i; k <= j; ++k) {
       if (CgroupState* owner = StateFor(items[k].folio->memcg);
           owner != nullptr) {
-        owner->stats.writeback_pages.fetch_add(items[k].nr_pages,
-                                               std::memory_order_relaxed);
+        owner->counters.Add(CgroupCounter::writeback_pages, items[k].nr_pages);
       }
       items[k].folio->ClearFlag(kFolioWriteback);
       as->wb_seq_done.fetch_add(1, std::memory_order_release);
@@ -1930,83 +1924,20 @@ CgroupCacheStats PageCache::SnapshotStats(CgroupState& st) {
   // Latch a pending breaker escalation even if no cache event has run since
   // the trip — the policy manager polls these stats to drive its revert.
   (void)ExtActive(st);
-  const auto& a = st.stats;
   CgroupCacheStats stats;
-  stats.fallback_evictions = a.fallback_evictions.load(std::memory_order_relaxed);
-  stats.ext_violations = a.ext_violations.load(std::memory_order_relaxed);
-  stats.direct_reads = a.direct_reads.load(std::memory_order_relaxed);
-  stats.direct_writes = a.direct_writes.load(std::memory_order_relaxed);
-  stats.readahead_pages = a.readahead_pages.load(std::memory_order_relaxed);
-  stats.writeback_pages = a.writeback_pages.load(std::memory_order_relaxed);
-  stats.invalidations = a.invalidations.load(std::memory_order_relaxed);
-  stats.rejected_at_load = a.rejected_at_load.load(std::memory_order_relaxed);
+  stats.LoadCounters(st.counters);
   stats.ext_detached_by_watchdog =
       st.watchdog_detached.load(std::memory_order_relaxed);
   stats.oom_killed = st.oom_killed.load(std::memory_order_relaxed);
   for (uint32_t i = 0; i < kNumPolicyHooks; ++i) {
     stats.ext_hook_trip_counts[i] =
-        a.ext_hook_trip_counts[i].load(std::memory_order_relaxed);
+        st.ext_hook_trip_counts[i].load(std::memory_order_relaxed);
   }
-  stats.ext_quarantined = a.ext_quarantined.load(std::memory_order_relaxed);
-  stats.ext_banned = a.ext_banned.load(std::memory_order_relaxed);
+  stats.ext_quarantined = st.ext_quarantined.load(std::memory_order_relaxed);
+  stats.ext_banned = st.ext_banned.load(std::memory_order_relaxed);
   stats.ext_reattach_attempts =
-      a.ext_reattach_attempts.load(std::memory_order_relaxed);
-  stats.ext_map_lookups = a.ext_map_lookups.load(std::memory_order_relaxed);
-  stats.ext_local_storage_hits =
-      a.ext_local_storage_hits.load(std::memory_order_relaxed);
-  stats.ext_evict_alloc_bytes =
-      a.ext_evict_alloc_bytes.load(std::memory_order_relaxed);
-  stats.ext_evict_arena_reuses =
-      a.ext_evict_arena_reuses.load(std::memory_order_relaxed);
-  stats.ext_ir_jit_compiles =
-      a.ext_ir_jit_compiles.load(std::memory_order_relaxed);
-  stats.ext_ir_jit_ns = a.ext_ir_jit_ns.load(std::memory_order_relaxed);
-  stats.ext_ir_interp_fallbacks =
-      a.ext_ir_interp_fallbacks.load(std::memory_order_relaxed);
-  stats.ext_lockless_lookups =
-      a.ext_lockless_lookups.load(std::memory_order_relaxed);
-  stats.ext_lockless_retries =
-      a.ext_lockless_retries.load(std::memory_order_relaxed);
-  stats.ext_readahead_clamped =
-      a.ext_readahead_clamped.load(std::memory_order_relaxed);
-  stats.ext_order_folios = a.ext_order_folios.load(std::memory_order_relaxed);
-  stats.ext_order_pages = a.ext_order_pages.load(std::memory_order_relaxed);
-  stats.ext_order_fallbacks =
-      a.ext_order_fallbacks.load(std::memory_order_relaxed);
-  stats.ext_order_splits = a.ext_order_splits.load(std::memory_order_relaxed);
-  const reclaim::ReclaimCounterSnapshot r = st.reclaim->Snapshot();
-  stats.reclaim_wakeups = r.wakeups;
-  stats.reclaim_background_batches = r.background_batches;
-  stats.reclaim_background_evicted = r.background_evicted;
-  stats.ext_background_reclaim_ns = r.background_reclaim_ns;
-  stats.reclaim_direct_entries = r.direct_entries;
-  stats.reclaim_direct_evicted = r.direct_evicted;
-  stats.ext_direct_reclaim_ns = r.direct_reclaim_ns;
-  stats.reclaim_emergency_entries = r.emergency_entries;
-  stats.reclaim_watchdog_trips = r.watchdog_trips;
-  stats.reclaim_stalled_ticks = r.stalled_ticks;
-  stats.reclaim_max_overshoot_pages = r.max_overshoot_pages;
-  stats.ext_reclaim_failures = r.ext_reclaim_failures;
-  stats.psi_some_ns = r.psi_some_ns;
-  stats.psi_full_ns = r.psi_full_ns;
-  stats.reclaim_health = r.health;
-  // Writeback counters live on the flush control block (they survive policy
-  // detach naturally — nothing to fold). dirty_pages is the live gauge;
-  // pages_written is not surfaced separately because every submit site
-  // already bumps the cumulative writeback_pages stat above.
-  const writeback::WritebackCounterSnapshot w = st.flush->Snapshot();
-  stats.dirty_pages = w.dirty_pages;
-  stats.writeback_wakeups = w.wakeups;
-  stats.writeback_flush_ticks = w.flush_ticks;
-  stats.writeback_extents = w.extents_written;
-  stats.writeback_deferred_pages = w.deferred_pages;
-  stats.writeback_throttle_entries = w.throttle_entries;
-  stats.ext_dirty_throttle_ns = w.dirty_throttle_ns;
-  stats.ext_writeback_ns = w.writeback_ns;
-  stats.writeback_sync_entries = w.sync_entries;
-  stats.writeback_stalled_ticks = w.stalled_ticks;
-  stats.writeback_lost_wakeups = w.lost_wakeups;
-  stats.writeback_partial_flushes = w.partial_flushes;
+      st.ext_reattach_attempts.load(std::memory_order_relaxed);
+  stats.reclaim_health = st.reclaim->health();
   if (st.ext != nullptr) {
     // Overlay the live attachment's breaker state: current degraded mask,
     // plus its trips on top of the cumulative per-cgroup counters.
@@ -2015,15 +1946,9 @@ CgroupCacheStats PageCache::SnapshotStats(CgroupState& st) {
     for (uint32_t i = 0; i < kNumPolicyHooks; ++i) {
       stats.ext_hook_trip_counts[i] += health.trips[i];
     }
-    // ... and its hot-path counters on top of the folded history.
-    const PolicyRuntimeCounters counters = st.ext->RuntimeCounters();
-    stats.ext_map_lookups += counters.map_lookups;
-    stats.ext_local_storage_hits += counters.local_storage_hits;
-    stats.ext_evict_alloc_bytes += counters.evict_alloc_bytes;
-    stats.ext_evict_arena_reuses += counters.evict_arena_reuses;
-    stats.ext_ir_jit_compiles += counters.ir_jit_compiles;
-    stats.ext_ir_jit_ns += counters.ir_jit_ns;
-    stats.ext_ir_interp_fallbacks += counters.ir_interp_fallbacks;
+    // ... and its own counters on top of the folded history.
+    st.ext->RuntimeCounters().ForEachRow(
+        [&stats](CgroupCounter row, uint64_t value) { stats[row] += value; });
   }
   return stats;
 }

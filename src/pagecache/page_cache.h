@@ -55,6 +55,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/cgroup/counters.h"
 #include "src/cgroup/memcg.h"
 #include "src/mm/address_space.h"
 #include "src/mm/folio.h"
@@ -98,20 +99,11 @@ class PageCacheTracer {
 
 struct PageCacheOptions {
   CpuCostModel costs;
-  // Reclaim gives up and OOM-kills the cgroup after this many consecutive
-  // zero-progress rounds (kernel: MAX_RECLAIM_RETRIES-style bound).
-  int max_reclaim_retries = 8;
   // An attached ext policy is forcibly unloaded after this many invalid
   // eviction candidates (the watchdog of §4.4).
   uint64_t watchdog_violation_limit = 128;
   // Readahead cap in pages (doubled by FADV_SEQUENTIAL).
   uint32_t max_readahead_pages = 8;
-  // folio_added/folio_accessed notifications are buffered per operation and
-  // dispatched to the owning cgroup's policies in batches of up to this many
-  // events (drained at reclaim boundaries and operation end), charging one
-  // amortized hook-dispatch cost per batch — the hot-path analogue of the
-  // batch-scoring mode in eviction_list (§4.2.3).
-  uint32_t hook_batch_size = 16;
   // Background reclaim (src/reclaim): watermark-paced reclaimer lanes, the
   // allocator-side watchdog, and the `reclaim.background=false` ablation.
   // Off by default — inline-only direct reclaim, the historical behaviour.
@@ -133,16 +125,25 @@ struct PageCacheOptions {
 // Per-cgroup snapshot of counters that live inside the page cache (the
 // cgroup's own counters — hits, misses, evictions... — live on MemCgroup).
 struct CgroupCacheStats {
-  uint64_t fallback_evictions = 0;  // evicted via default-policy fallback
-  uint64_t ext_violations = 0;      // invalid candidates from the ext policy
-  uint64_t direct_reads = 0;        // pages served uncached (admission deny)
-  uint64_t direct_writes = 0;
-  uint64_t readahead_pages = 0;
-  uint64_t writeback_pages = 0;
-  uint64_t invalidations = 0;  // removals circumventing eviction
-  // Policies rejected by the load-time verifier before they ever attached
-  // (the static half of §4.4; ext_violations counts the runtime half).
-  uint64_t rejected_at_load = 0;
+  // One field per row of the counter table, named after the row; the row
+  // gives its unit, layer and meaning (src/cgroup/counters.h). The kPolicy
+  // rows are cumulative across attachments of this cgroup, with the live
+  // attachment's PolicyRuntimeCounters overlaid.
+#define CACHE_EXT_COUNTER_FIELD(name, unit, layer, doc) uint64_t name = 0;
+  CACHE_EXT_CGROUP_COUNTERS(CACHE_EXT_COUNTER_FIELD)
+#undef CACHE_EXT_COUNTER_FIELD
+
+  // Table-indexed access to the fields above.
+  static uint64_t CgroupCacheStats::*Field(CgroupCounter c);
+  uint64_t& operator[](CgroupCounter c) { return this->*Field(c); }
+  uint64_t operator[](CgroupCounter c) const { return this->*Field(c); }
+  // Copy every table row from `counters` into its field.
+  void LoadCounters(const CgroupCounters& counters) {
+    for (const CgroupCounterInfo& info : kCgroupCounters) {
+      (*this)[info.id] = counters.Get(info.id);
+    }
+  }
+
   bool ext_detached_by_watchdog = false;
   bool oom_killed = false;
   // Per-hook circuit-breaker state (§4.4 hardening). The mask covers the
@@ -156,88 +157,19 @@ struct CgroupCacheStats {
   bool ext_quarantined = false;
   bool ext_banned = false;
   uint32_t ext_reattach_attempts = 0;
-  // Hot-path counters from the attached cache_ext policy (cumulative
-  // across attachments of this cgroup, live attachment overlaid):
-  // per-folio metadata resolutions that paid a hash probe vs those
-  // served by a folio-embedded storage slot, and heap bytes the
-  // eviction scoring path allocated (flat in steady state — the arena).
-  // See PolicyRuntimeCounters in src/pagecache/eviction.h.
-  uint64_t ext_map_lookups = 0;
-  uint64_t ext_local_storage_hits = 0;
-  uint64_t ext_evict_alloc_bytes = 0;
-  uint64_t ext_evict_arena_reuses = 0;
-  // IR compilation backend (src/bpf/jit): hooks lowered to native
-  // closures, cumulative ns spent lowering them, and dispatches that fell
-  // back to the reference interpreter (JIT declined the shape or
-  // jit.compile_fail was injected). fallbacks > 0 with compiles == 0 is
-  // the "interpreter kept the policy attached" signature.
-  uint64_t ext_ir_jit_compiles = 0;
-  uint64_t ext_ir_jit_ns = 0;
-  uint64_t ext_ir_interp_fallbacks = 0;
-  // Lockless read path (EBR): lookups attempted without the stripe by this
-  // cgroup's readers, and how many of those lost a race (TryPin on a
-  // frozen folio / failed revalidation) and retried into the locked slow
-  // path. The retry rate under truncate/eviction churn is the health
-  // signal for the lock-free hit path.
-  uint64_t ext_lockless_lookups = 0;
-  uint64_t ext_lockless_retries = 0;
-  // Readahead + multi-order admission (the readahead/admit_order hooks).
-  // ext_readahead_clamped counts policy-returned windows cut down to
-  // max_readahead_pages; the ext_order_* trio tracks multi-order folios:
-  // admitted (with their aggregate page count), policy requests that fell
-  // back to order 0 (misalignment, span conflict, memcg pressure), and
-  // folios split back to order 0 by a partial invalidate.
-  uint64_t ext_readahead_clamped = 0;
-  uint64_t ext_order_folios = 0;
-  uint64_t ext_order_pages = 0;
-  uint64_t ext_order_fallbacks = 0;
-  uint64_t ext_order_splits = 0;
-  // Background reclaim (src/reclaim). The ns split is the point: eviction
-  // time that used to be folded into miss latency is now attributed either
-  // to allocating tasks (`ext_direct_reclaim_ns`, PSI `some`) or to the
-  // cgroup's reclaimer lane (`ext_background_reclaim_ns`, invisible to
-  // allocation latency). `psi_full_ns` is the zero-progress subset of the
-  // direct stall. Emergency entries, watchdog trips, stalled ticks and the
-  // max overshoot quantify the degradation path (stalled/dead lane ->
-  // bounded inline reclaim); `ext_reclaim_failures` counts rounds where the
-  // ext policy proposed nothing usable while the base fallback evicted
-  // (the circuit-breaker feed).
-  uint64_t reclaim_wakeups = 0;
-  uint64_t reclaim_background_batches = 0;
-  uint64_t reclaim_background_evicted = 0;
-  uint64_t ext_background_reclaim_ns = 0;
-  uint64_t reclaim_direct_entries = 0;
-  uint64_t reclaim_direct_evicted = 0;
-  uint64_t ext_direct_reclaim_ns = 0;
-  uint64_t reclaim_emergency_entries = 0;
-  uint64_t reclaim_watchdog_trips = 0;
-  uint64_t reclaim_stalled_ticks = 0;
-  uint64_t reclaim_max_overshoot_pages = 0;
-  uint64_t ext_reclaim_failures = 0;
-  uint64_t psi_some_ns = 0;
-  uint64_t psi_full_ns = 0;
+  // The background reclaimer's lane verdict (src/reclaim).
   reclaim::LaneHealth reclaim_health = reclaim::LaneHealth::kIdle;
-  // Background writeback (src/writeback). `dirty_pages` is the LIVE gauge
-  // of dirty pages charged to the cgroup (writeback_pages above is the
-  // cumulative flushed count). The ns split mirrors reclaim's: writer wall
-  // time stalled in the balance_dirty_pages analogue (`ext_dirty_throttle_ns`,
-  // the PSI-visible cost) vs flusher-lane time spent writing
-  // (`ext_writeback_ns`, invisible to writer latency when background
-  // writeback is on). Stalled ticks / lost wakeups / partial flushes count
-  // chaos-injected degradation the throttle must contain.
-  uint64_t dirty_pages = 0;
-  uint64_t writeback_wakeups = 0;
-  uint64_t writeback_flush_ticks = 0;
-  uint64_t writeback_extents = 0;
-  uint64_t writeback_deferred_pages = 0;
-  uint64_t writeback_throttle_entries = 0;
-  uint64_t ext_dirty_throttle_ns = 0;
-  uint64_t ext_writeback_ns = 0;
-  uint64_t writeback_sync_entries = 0;
-  uint64_t writeback_stalled_ticks = 0;
-  uint64_t writeback_lost_wakeups = 0;
-  uint64_t writeback_partial_flushes = 0;
 };
+
+inline uint64_t CgroupCacheStats::*CgroupCacheStats::Field(CgroupCounter c) {
+  static constexpr uint64_t CgroupCacheStats::*kFields[] = {
+#define CACHE_EXT_COUNTER_MEMBER(name, unit, layer, doc) \
+  &CgroupCacheStats::name,
+      CACHE_EXT_CGROUP_COUNTERS(CACHE_EXT_COUNTER_MEMBER)
+#undef CACHE_EXT_COUNTER_MEMBER
+  };
+  return kFields[static_cast<size_t>(c)];
+}
 
 class PageCache {
  public:
@@ -307,38 +239,6 @@ class PageCache {
   const PageCacheOptions& options() const { return options_; }
 
  private:
-  // Internal mirror of CgroupCacheStats with relaxed atomics: counters are
-  // bumped from whichever lock (cgroup or stripe) the path holds; StatsFor
-  // takes the cgroup lock and loads a coherent snapshot.
-  struct AtomicCgroupStats {
-    std::atomic<uint64_t> fallback_evictions{0};
-    std::atomic<uint64_t> ext_violations{0};
-    std::atomic<uint64_t> direct_reads{0};
-    std::atomic<uint64_t> direct_writes{0};
-    std::atomic<uint64_t> readahead_pages{0};
-    std::atomic<uint64_t> writeback_pages{0};
-    std::atomic<uint64_t> invalidations{0};
-    std::atomic<uint64_t> rejected_at_load{0};
-    std::array<std::atomic<uint64_t>, kNumPolicyHooks> ext_hook_trip_counts{};
-    std::atomic<uint64_t> ext_map_lookups{0};
-    std::atomic<uint64_t> ext_local_storage_hits{0};
-    std::atomic<uint64_t> ext_evict_alloc_bytes{0};
-    std::atomic<uint64_t> ext_evict_arena_reuses{0};
-    std::atomic<uint64_t> ext_ir_jit_compiles{0};
-    std::atomic<uint64_t> ext_ir_jit_ns{0};
-    std::atomic<uint64_t> ext_ir_interp_fallbacks{0};
-    std::atomic<uint64_t> ext_lockless_lookups{0};
-    std::atomic<uint64_t> ext_lockless_retries{0};
-    std::atomic<uint64_t> ext_readahead_clamped{0};
-    std::atomic<uint64_t> ext_order_folios{0};
-    std::atomic<uint64_t> ext_order_pages{0};
-    std::atomic<uint64_t> ext_order_fallbacks{0};
-    std::atomic<uint64_t> ext_order_splits{0};
-    std::atomic<bool> ext_quarantined{false};
-    std::atomic<bool> ext_banned{false};
-    std::atomic<uint32_t> ext_reattach_attempts{0};
-  };
-
   struct CgroupState {
     std::unique_ptr<MemCgroup> cg;
     // Per-cgroup lock: the analogue of the kernel's per-memcg lru_lock.
@@ -347,7 +247,16 @@ class PageCache {
     Mutex mu;
     std::unique_ptr<ReclaimPolicy> base CACHE_EXT_GUARDED_BY(mu);
     std::unique_ptr<ReclaimPolicy> ext CACHE_EXT_GUARDED_BY(mu);
-    AtomicCgroupStats stats;
+    // The counter table's storage. Bumped from whichever lock (cgroup or
+    // stripe) the path holds, or none; StatsFor takes the cgroup lock and
+    // loads a coherent snapshot. The reclaim and flush control blocks below
+    // bump it too.
+    CgroupCounters counters;
+    // Breaker trips folded in from detached attachments.
+    std::array<std::atomic<uint64_t>, kNumPolicyHooks> ext_hook_trip_counts{};
+    std::atomic<bool> ext_quarantined{false};
+    std::atomic<bool> ext_banned{false};
+    std::atomic<uint32_t> ext_reattach_attempts{0};
     std::atomic<bool> oom_killed{false};
     std::atomic<bool> watchdog_detached{false};
     // Lock-free hints for the hit path's append-time cost accounting: the
@@ -357,14 +266,13 @@ class PageCache {
     std::atomic<uint64_t> ext_event_cost_ns{0};
     uint64_t base_event_cost_ns = 0;  // immutable after CreateCgroup
     // Background-reclaim control block (hysteresis latch, heartbeat,
-    // watchdog, the reclaimer's own virtual lane, and all reclaim
-    // counters). The lruvec->kswapd link; heavy mutation happens under mu,
-    // wake checks are lock-free atomics.
+    // watchdog, the reclaimer's own virtual lane). The lruvec->kswapd link;
+    // heavy mutation happens under mu, wake checks are lock-free atomics.
     std::unique_ptr<reclaim::CgroupReclaimControl> reclaim;
-    // Background-writeback control block (dirty gauge + file set, wakeup
-    // latch, the flusher's own virtual lane, and all writeback counters).
-    // The bdi_writeback analogue; the dirty gauge mutates lock-free from
-    // hit paths, flush ticks run under mu.
+    // Background-writeback control block (dirty-file set, wakeup latch,
+    // the flusher's own virtual lane). The bdi_writeback analogue; the
+    // dirty gauge mutates lock-free from hit paths, flush ticks run under
+    // mu.
     std::unique_ptr<writeback::CgroupFlushControl> flush;
   };
 
@@ -376,9 +284,9 @@ class PageCache {
     CgroupState* owner;
     HookEvent event;
   };
-  // Operation-local dispatch ring. Capacity leaves slack above the largest
-  // configurable drain threshold (kMaxEvictionBatch) because a locked drain
-  // can only retire the locked cgroup's entries and must keep the rest.
+  // Operation-local dispatch ring. Capacity leaves slack above the drain
+  // threshold (kHookBatchSize in page_cache.cc) because a locked drain can
+  // only retire the locked cgroup's entries and must keep the rest.
   struct DispatchBatch {
     std::array<PendingHook, 2 * kMaxEvictionBatch> entries;
     uint32_t size = 0;
@@ -458,7 +366,7 @@ class PageCache {
   // reclaim). Counted via ext_order_fallbacks when a nonzero request is
   // demoted.
   uint32_t SelectOrder(Lane& lane, CgroupState& st, AddressSpace* as,
-                       uint64_t index, bool is_write, uint32_t nr_wanted)
+                       uint64_t index, uint32_t nr_wanted)
       CACHE_EXT_REQUIRES(st.mu);
 
   // Writeback (if dirty) and remove the folio at (as, index), which must be

@@ -36,7 +36,7 @@ bool CgroupReclaimControl::ShouldWake(uint64_t charged_pages,
     return false;  // inside the band with the latch released: stay asleep
   }
   if (!active_.exchange(true, std::memory_order_relaxed)) {
-    wakeups_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(CgroupCounter::reclaim_wakeups);
   }
   return true;
 }
@@ -74,7 +74,7 @@ TickOutcome CgroupReclaimControl::EnterTick() {
   while (remaining > 0) {
     if (stall_ticks_remaining_.compare_exchange_weak(
             remaining, remaining - 1, std::memory_order_relaxed)) {
-      stalled_ticks_.fetch_add(1, std::memory_order_relaxed);
+      counters_.Add(CgroupCounter::reclaim_stalled_ticks);
       return TickOutcome::kStalled;
     }
   }
@@ -93,22 +93,17 @@ void CgroupReclaimControl::NoteBatch(uint64_t evicted) {
   // folio pinned still beats, and the watchdog correctly does not trip —
   // detaching or probing it would not make folios evictable.
   heartbeat_.fetch_add(1, std::memory_order_relaxed);
-  background_batches_.fetch_add(1, std::memory_order_relaxed);
-  background_evicted_.fetch_add(evicted, std::memory_order_relaxed);
+  counters_.Add(CgroupCounter::reclaim_background_batches);
+  counters_.Add(CgroupCounter::reclaim_background_evicted, evicted);
   if (!dead_.load(std::memory_order_relaxed)) {
     health_.store(static_cast<uint8_t>(LaneHealth::kRunning),
                   std::memory_order_relaxed);
   }
 }
 
-bool CgroupReclaimControl::NoteEmergencyEntry(uint64_t overshoot_pages,
-                                              const ReclaimOptions& opts) {
-  emergency_entries_.fetch_add(1, std::memory_order_relaxed);
-  uint64_t prev = max_overshoot_pages_.load(std::memory_order_relaxed);
-  while (overshoot_pages > prev &&
-         !max_overshoot_pages_.compare_exchange_weak(
-             prev, overshoot_pages, std::memory_order_relaxed)) {
-  }
+bool CgroupReclaimControl::NoteEmergencyEntry(uint64_t overshoot_pages) {
+  counters_.Add(CgroupCounter::reclaim_emergency_entries);
+  counters_.Max(CgroupCounter::reclaim_max_overshoot_pages, overshoot_pages);
 
   const bool is_dead = dead_.load(std::memory_order_relaxed);
   if (!is_dead) {
@@ -126,28 +121,25 @@ bool CgroupReclaimControl::NoteEmergencyEntry(uint64_t overshoot_pages,
     if (health() != LaneHealth::kStalled) {
       const uint32_t misses =
           heartbeat_misses_.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (misses < opts.watchdog_misses) {
+      if (misses < kWatchdogMisses) {
         return true;  // give the lane another chance before judging it
       }
-      // Watchdog trip: heartbeat flat across `watchdog_misses` emergency
+      // Watchdog trip: heartbeat flat across kWatchdogMisses emergency
       // entries while the cgroup is over its hard limit.
       health_.store(static_cast<uint8_t>(LaneHealth::kStalled),
                     std::memory_order_relaxed);
-      watchdog_trips_.fetch_add(1, std::memory_order_relaxed);
-      probe_backoff_.store(opts.probe_backoff_initial,
-                           std::memory_order_relaxed);
-      probe_countdown_.store(opts.probe_backoff_initial,
-                             std::memory_order_relaxed);
+      counters_.Add(CgroupCounter::reclaim_watchdog_trips);
+      probe_backoff_.store(kProbeBackoffInitial, std::memory_order_relaxed);
+      probe_countdown_.store(kProbeBackoffInitial, std::memory_order_relaxed);
       return false;
     }
   } else if (health() != LaneHealth::kDead) {
     // First emergency entry to observe the death: trip once, then back off.
     health_.store(static_cast<uint8_t>(LaneHealth::kDead),
                   std::memory_order_relaxed);
-    watchdog_trips_.fetch_add(1, std::memory_order_relaxed);
-    probe_backoff_.store(opts.probe_backoff_initial, std::memory_order_relaxed);
-    probe_countdown_.store(opts.probe_backoff_initial,
-                           std::memory_order_relaxed);
+    counters_.Add(CgroupCounter::reclaim_watchdog_trips);
+    probe_backoff_.store(kProbeBackoffInitial, std::memory_order_relaxed);
+    probe_countdown_.store(kProbeBackoffInitial, std::memory_order_relaxed);
     return false;
   }
 
@@ -162,7 +154,7 @@ bool CgroupReclaimControl::NoteEmergencyEntry(uint64_t overshoot_pages,
   }
   const uint32_t backoff =
       std::min(probe_backoff_.load(std::memory_order_relaxed) * 2,
-               std::max<uint32_t>(opts.probe_backoff_cap, 1));
+               kProbeBackoffCap);
   probe_backoff_.store(backoff, std::memory_order_relaxed);
   probe_countdown_.store(backoff, std::memory_order_relaxed);
   // Probe: a stall may have healed, so one kick is worth it; a dead lane
@@ -172,15 +164,15 @@ bool CgroupReclaimControl::NoteEmergencyEntry(uint64_t overshoot_pages,
 
 void CgroupReclaimControl::NoteDirect(uint64_t ns, uint64_t zero_progress_ns,
                                       uint64_t evicted) {
-  direct_entries_.fetch_add(1, std::memory_order_relaxed);
-  direct_evicted_.fetch_add(evicted, std::memory_order_relaxed);
-  direct_reclaim_ns_.fetch_add(ns, std::memory_order_relaxed);
+  counters_.Add(CgroupCounter::reclaim_direct_entries);
+  counters_.Add(CgroupCounter::reclaim_direct_evicted, evicted);
+  counters_.Add(CgroupCounter::ext_direct_reclaim_ns, ns);
   // PSI mapping: `some` is time at least one task stalled on reclaim — in
   // this model, exactly the lane time the allocator spent inside direct
   // reclaim. `full` is the unproductive subset (rounds that evicted
   // nothing): everyone stalled AND nothing moved.
-  psi_some_ns_.fetch_add(ns, std::memory_order_relaxed);
-  psi_full_ns_.fetch_add(zero_progress_ns, std::memory_order_relaxed);
+  counters_.Add(CgroupCounter::psi_some_ns, ns);
+  counters_.Add(CgroupCounter::psi_full_ns, zero_progress_ns);
 }
 
 bool CgroupReclaimControl::NoteExtRound(bool ext_made_progress,
@@ -195,30 +187,10 @@ bool CgroupReclaimControl::NoteExtRound(bool ext_made_progress,
     // ext policy's fault — detaching it would change nothing. Streak holds.
     return false;
   }
-  ext_reclaim_failures_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(CgroupCounter::ext_reclaim_failures);
   const uint32_t streak =
       ext_failure_streak_.fetch_add(1, std::memory_order_relaxed) + 1;
   return limit > 0 && streak == limit;
-}
-
-ReclaimCounterSnapshot CgroupReclaimControl::Snapshot() const {
-  ReclaimCounterSnapshot s;
-  s.wakeups = Load(wakeups_);
-  s.background_batches = Load(background_batches_);
-  s.background_evicted = Load(background_evicted_);
-  s.background_reclaim_ns = Load(background_reclaim_ns_);
-  s.direct_entries = Load(direct_entries_);
-  s.direct_evicted = Load(direct_evicted_);
-  s.direct_reclaim_ns = Load(direct_reclaim_ns_);
-  s.emergency_entries = Load(emergency_entries_);
-  s.watchdog_trips = Load(watchdog_trips_);
-  s.stalled_ticks = Load(stalled_ticks_);
-  s.max_overshoot_pages = Load(max_overshoot_pages_);
-  s.ext_reclaim_failures = Load(ext_reclaim_failures_);
-  s.psi_some_ns = Load(psi_some_ns_);
-  s.psi_full_ns = Load(psi_full_ns_);
-  s.health = health();
-  return s;
 }
 
 ReclaimerPool::ReclaimerPool(const ReclaimOptions& options, TickFn tick)

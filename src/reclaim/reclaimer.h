@@ -8,9 +8,9 @@
 //  - `CgroupReclaimControl` is the per-cgroup control block (one per
 //    CgroupState, the lruvec analogue): the hysteresis latch that turns
 //    watermark crossings into wakeups, the reclaimer's own virtual Lane
-//    (eviction CPU time is charged here, not to the allocating reader),
-//    the heartbeat the allocator-side watchdog reads, and every reclaim
-//    counter surfaced through CgroupCacheStats — including PSI-style
+//    (eviction CPU time is charged here, not to the allocating reader) and
+//    the heartbeat the allocator-side watchdog reads. It bumps the cgroup's
+//    kReclaim counters (src/cgroup/counters.h) — including PSI-style
 //    `some`/`full` stall time (kernel: psi memory pressure, where `some` is
 //    wall time at least one task spent stalled on reclaim and `full` is the
 //    subset where no forward progress was made at all).
@@ -45,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/cgroup/counters.h"
 #include "src/reclaim/watermarks.h"
 #include "src/sim/lane.h"
 
@@ -65,16 +66,6 @@ struct ReclaimOptions {
   // the backstop that keeps a cgroup draining even if every allocator
   // gives up kicking a lane it believes stalled.
   uint32_t thread_poll_us = 200;
-  // Batches one BackgroundTick may run before yielding the cgroup lock.
-  uint32_t max_batches_per_tick = 64;
-  // Emergency entries with an unchanged heartbeat before the allocator
-  // watchdog declares the lane stalled (kernel: hung-task style detection).
-  uint32_t watchdog_misses = 3;
-  // Once stalled/dead, re-probe the lane only every Nth emergency entry,
-  // doubling up to the cap — a dead daemon must not add a kick to every
-  // single allocation.
-  uint32_t probe_backoff_initial = 4;
-  uint32_t probe_backoff_cap = 64;
   // Circuit-breaker feed: after this many CONSECUTIVE reclaim rounds where
   // the ext policy proposed nothing usable while the base-policy fallback
   // did evict, latch the watchdog detach (feeding the PR-2 PolicyManager
@@ -82,6 +73,9 @@ struct ReclaimOptions {
   // no-op policy legitimately proposes nothing and relies on fallback.
   uint32_t ext_failure_limit = 0;
 };
+
+// Batches one BackgroundTick may run before yielding the cgroup lock.
+inline constexpr uint32_t kMaxBatchesPerTick = 64;
 
 enum class LaneHealth : uint8_t {
   kIdle = 0,     // below the low watermark, nothing to do
@@ -98,26 +92,7 @@ enum class TickOutcome : uint8_t {
   kDead,     // lane is dead: permanent no-op
 };
 
-// Counter snapshot, copied into CgroupCacheStats under the cgroup lock.
-struct ReclaimCounterSnapshot {
-  uint64_t wakeups = 0;
-  uint64_t background_batches = 0;
-  uint64_t background_evicted = 0;
-  uint64_t background_reclaim_ns = 0;
-  uint64_t direct_entries = 0;
-  uint64_t direct_evicted = 0;
-  uint64_t direct_reclaim_ns = 0;
-  uint64_t emergency_entries = 0;
-  uint64_t watchdog_trips = 0;
-  uint64_t stalled_ticks = 0;
-  uint64_t max_overshoot_pages = 0;
-  uint64_t ext_reclaim_failures = 0;
-  uint64_t psi_some_ns = 0;
-  uint64_t psi_full_ns = 0;
-  LaneHealth health = LaneHealth::kIdle;
-};
-
-// Per-cgroup reclaim control block. All fields are relaxed atomics: the
+// Per-cgroup reclaim control block. All state is relaxed atomics: the
 // heavy mutators (EnterTick, NoteBatch, NoteEmergencyEntry, NoteDirect) run
 // under the owning cgroup's lock, but ShouldWake is also called from the
 // ReclaimerPool's scan loop without it — a racy wake check at worst costs
@@ -125,8 +100,11 @@ struct ReclaimCounterSnapshot {
 // direct reclaim regardless).
 class CgroupReclaimControl {
  public:
-  explicit CgroupReclaimControl(uint32_t cgroup_id)
-      : lane_(kLaneIdBase + cgroup_id, TaskContext{0, 0},
+  // `counters` is the owning cgroup's table storage; it must outlive the
+  // control block.
+  CgroupReclaimControl(uint32_t cgroup_id, CgroupCounters& counters)
+      : counters_(counters),
+        lane_(kLaneIdBase + cgroup_id, TaskContext{0, 0},
               kLaneSeed + cgroup_id) {}
   CgroupReclaimControl(const CgroupReclaimControl&) = delete;
   CgroupReclaimControl& operator=(const CgroupReclaimControl&) = delete;
@@ -161,11 +139,11 @@ class CgroupReclaimControl {
   // Emergency direct-reclaim entry (allocation found the cgroup over its
   // hard limit despite background reclaim). Runs the allocator-side
   // watchdog: compares the lane heartbeat against the last entry, declares
-  // kStalled after `watchdog_misses` unchanged observations, re-probes a
+  // kStalled after kWatchdogMisses unchanged observations, re-probes a
   // stalled lane with exponential backoff. Returns true when kicking the
   // lane (once more) is worthwhile before falling back to inline eviction.
   // Called under the cgroup lock.
-  bool NoteEmergencyEntry(uint64_t overshoot_pages, const ReclaimOptions& opts);
+  bool NoteEmergencyEntry(uint64_t overshoot_pages);
 
   // Direct-reclaim accounting (both the inline-only ablation and the
   // emergency path): `ns` is lane time spent inside direct reclaim (PSI
@@ -187,7 +165,7 @@ class CgroupReclaimControl {
   // signal the allocator watchdog reads) and the progress counters.
   void NoteBatch(uint64_t evicted);
   void NoteBackgroundNs(uint64_t ns) {
-    background_reclaim_ns_.fetch_add(ns, std::memory_order_relaxed);
+    counters_.Add(CgroupCounter::ext_background_reclaim_ns, ns);
   }
   // High-watermark headroom restored: release the hysteresis latch.
   void NoteTargetReached();
@@ -214,17 +192,21 @@ class CgroupReclaimControl {
     return heartbeat_.load(std::memory_order_relaxed);
   }
   bool dead() const { return dead_.load(std::memory_order_relaxed); }
-  ReclaimCounterSnapshot Snapshot() const;
 
  private:
   static constexpr uint32_t kLaneIdBase = 0x6b000000;  // 'k' for kswapd
   static constexpr uint64_t kLaneSeed = 0x6b737764;    // "kswd"
   static constexpr uint64_t kDefaultStallTicks = 8;
+  // Emergency entries with an unchanged heartbeat before the allocator
+  // watchdog declares the lane stalled (kernel: hung-task style detection).
+  static constexpr uint32_t kWatchdogMisses = 3;
+  // Once stalled/dead, re-probe the lane only every Nth emergency entry,
+  // doubling up to the cap — a dead daemon must not add a kick to every
+  // single allocation.
+  static constexpr uint32_t kProbeBackoffInitial = 4;
+  static constexpr uint32_t kProbeBackoffCap = 64;
 
-  uint64_t Load(const std::atomic<uint64_t>& v) const {
-    return v.load(std::memory_order_relaxed);
-  }
-
+  CgroupCounters& counters_;
   Lane lane_;
 
   // Hysteresis latch + health machine.
@@ -242,22 +224,6 @@ class CgroupReclaimControl {
   std::atomic<uint32_t> probe_countdown_{0};
 
   std::atomic<uint32_t> ext_failure_streak_{0};
-
-  // Counters (ReclaimCounterSnapshot mirrors).
-  std::atomic<uint64_t> wakeups_{0};
-  std::atomic<uint64_t> background_batches_{0};
-  std::atomic<uint64_t> background_evicted_{0};
-  std::atomic<uint64_t> background_reclaim_ns_{0};
-  std::atomic<uint64_t> direct_entries_{0};
-  std::atomic<uint64_t> direct_evicted_{0};
-  std::atomic<uint64_t> direct_reclaim_ns_{0};
-  std::atomic<uint64_t> emergency_entries_{0};
-  std::atomic<uint64_t> watchdog_trips_{0};
-  std::atomic<uint64_t> stalled_ticks_{0};
-  std::atomic<uint64_t> max_overshoot_pages_{0};
-  std::atomic<uint64_t> ext_reclaim_failures_{0};
-  std::atomic<uint64_t> psi_some_ns_{0};
-  std::atomic<uint64_t> psi_full_ns_{0};
 };
 
 // The real reclaimer threads of the MT harness: N threads share the

@@ -11,10 +11,11 @@
 //    the dirty-file set (the b_dirty inode list analogue), the hysteresis
 //    latch that turns dirty-threshold crossings into wakeups, the flusher's
 //    own virtual Lane (writeback CPU time is charged here, not to the
-//    dirtying writer), and every writeback counter surfaced through
-//    CgroupCacheStats — including the PSI-style stall split the issue asks
-//    for: `dirty_throttle_ns` (writers stalled in the balance_dirty_pages
-//    analogue) vs `writeback_ns` (lane time actually writing).
+//    dirtying writer). It bumps the cgroup's kWriteback counters
+//    (src/cgroup/counters.h) — including the PSI-style stall split:
+//    `ext_dirty_throttle_ns` (writers stalled in the balance_dirty_pages
+//    analogue) vs `ext_writeback_ns` (lane time actually writing). The
+//    dirty-page gauge is the table's `dirty_pages` row.
 //
 //  - `FlushItem`/`SortAndCoalesce` are the harvest/coalesce step: dirty
 //    folios collected under
@@ -38,6 +39,7 @@
 #include <mutex>
 #include <vector>
 
+#include "src/cgroup/counters.h"
 #include "src/sim/lane.h"
 #include "src/writeback/dirty.h"
 
@@ -63,41 +65,25 @@ struct WritebackOptions {
   // Thread poll period (microseconds of wall time) when no kick arrives —
   // the backstop that keeps a cgroup draining after a lost wakeup.
   uint32_t thread_poll_us = 200;
-  // Dirty pages one flush tick may harvest before yielding (the analogue of
-  // MAX_WRITEBACK_PAGES bounding one wb_writeback chunk).
-  uint32_t max_pages_per_tick = 1024;
-  // Upper bound on one coalesced extent, in pages (device request cap).
-  uint32_t max_extent_pages = 256;
-  // Nanoseconds a throttled writer stalls per balance_dirty_pages round
-  // before re-checking the gauge (kernel: ~one pause() of HZ/5 scaled).
-  uint64_t throttle_pause_ns = 200 * 1000;
   // Rounds a single Write may be throttled before it proceeds anyway —
   // bounds writer latency when the device simply cannot keep up.
   uint32_t max_throttle_rounds = 16;
 };
+
+// Dirty pages one flush tick may harvest before yielding (the analogue of
+// MAX_WRITEBACK_PAGES bounding one wb_writeback chunk).
+inline constexpr uint32_t kMaxPagesPerTick = 1024;
+// Upper bound on one coalesced extent, in pages (device request cap).
+inline constexpr uint32_t kMaxExtentPages = 256;
+// Nanoseconds a throttled writer stalls per balance_dirty_pages round
+// before re-checking the gauge (kernel: ~one pause() of HZ/5 scaled).
+inline constexpr uint64_t kThrottlePauseNs = 200 * 1000;
 
 // Outcome of a tick attempt, decided before any harvest work.
 enum class FlushTickOutcome : uint8_t {
   kRun,      // proceed with harvest + flush
   kStalled,  // wedged this tick (writeback.stall): no progress
   kIdle,     // nothing dirty enough to flush
-};
-
-// Counter snapshot, copied into CgroupCacheStats under the cgroup lock.
-struct WritebackCounterSnapshot {
-  uint64_t dirty_pages = 0;  // live gauge, not cumulative
-  uint64_t wakeups = 0;
-  uint64_t flush_ticks = 0;
-  uint64_t pages_written = 0;
-  uint64_t extents_written = 0;
-  uint64_t deferred_pages = 0;   // should_writeback vetoes
-  uint64_t throttle_entries = 0;
-  uint64_t dirty_throttle_ns = 0;  // writers stalled above the dirty ratio
-  uint64_t writeback_ns = 0;       // lane time spent writing (bg + sync)
-  uint64_t sync_entries = 0;
-  uint64_t stalled_ticks = 0;
-  uint64_t lost_wakeups = 0;
-  uint64_t partial_flushes = 0;
 };
 
 // One dirty folio harvested for flushing, plus its policy sort key. The
@@ -135,8 +121,11 @@ std::vector<FlushExtent> SortAndCoalesce(std::vector<FlushItem> items,
 // own small mutex (the kernel's wb->list_lock analogue).
 class CgroupFlushControl {
  public:
-  explicit CgroupFlushControl(uint32_t cgroup_id)
-      : lane_(kLaneIdBase + cgroup_id, TaskContext{0, 0},
+  // `counters` is the owning cgroup's table storage; it must outlive the
+  // control block.
+  CgroupFlushControl(uint32_t cgroup_id, CgroupCounters& counters)
+      : counters_(counters),
+        lane_(kLaneIdBase + cgroup_id, TaskContext{0, 0},
               kLaneSeed + cgroup_id) {}
   CgroupFlushControl(const CgroupFlushControl&) = delete;
   CgroupFlushControl& operator=(const CgroupFlushControl&) = delete;
@@ -157,7 +146,7 @@ class CgroupFlushControl {
   // dirty list lazily when a harvest finds it clean.
   void NoteCleaned(AddressSpace* mapping, uint64_t nr);
   uint64_t nr_dirty() const {
-    return nr_dirty_.load(std::memory_order_relaxed);
+    return counters_.Get(CgroupCounter::dirty_pages);
   }
 
   // Hysteresis latch: returns true while the flusher should be running.
@@ -170,8 +159,8 @@ class CgroupFlushControl {
 
   // Writer throttling above the dirty ratio (balance_dirty_pages).
   void NoteThrottle(uint64_t stall_ns) {
-    throttle_entries_.fetch_add(1, std::memory_order_relaxed);
-    dirty_throttle_ns_.fetch_add(stall_ns, std::memory_order_relaxed);
+    counters_.Add(CgroupCounter::writeback_throttle_entries);
+    counters_.Add(CgroupCounter::ext_dirty_throttle_ns, stall_ns);
   }
 
   // ---- Flusher side (flush tick) -----------------------------------------
@@ -189,35 +178,26 @@ class CgroupFlushControl {
   std::vector<AddressSpace*> TakeDirtyFiles();
   void RequeueDirtyFile(AddressSpace* mapping);
 
-  void NoteFlush(uint64_t pages, uint64_t extents) {
-    flush_ticks_.fetch_add(1, std::memory_order_relaxed);
-    pages_written_.fetch_add(pages, std::memory_order_relaxed);
-    extents_written_.fetch_add(extents, std::memory_order_relaxed);
+  void NoteFlush(uint64_t extents) {
+    counters_.Add(CgroupCounter::writeback_flush_ticks);
+    counters_.Add(CgroupCounter::writeback_extents, extents);
   }
   void NoteDeferred(uint64_t pages) {
-    deferred_pages_.fetch_add(pages, std::memory_order_relaxed);
+    counters_.Add(CgroupCounter::writeback_deferred_pages, pages);
   }
   void NoteWritebackNs(uint64_t ns) {
-    writeback_ns_.fetch_add(ns, std::memory_order_relaxed);
+    counters_.Add(CgroupCounter::ext_writeback_ns, ns);
   }
-  void NoteSyncEntry() {
-    sync_entries_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  WritebackCounterSnapshot Snapshot() const;
+  void NoteSyncEntry() { counters_.Add(CgroupCounter::writeback_sync_entries); }
 
  private:
   static constexpr uint32_t kLaneIdBase = 0x77000000;  // 'w' for writeback
   static constexpr uint64_t kLaneSeed = 0x7772626b;    // "wrbk"
   static constexpr uint64_t kDefaultStallTicks = 8;
 
-  uint64_t Load(const std::atomic<uint64_t>& v) const {
-    return v.load(std::memory_order_relaxed);
-  }
-
+  CgroupCounters& counters_;
   Lane lane_;
 
-  std::atomic<uint64_t> nr_dirty_{0};
   std::atomic<bool> active_{false};
   std::atomic<uint64_t> stall_ticks_remaining_{0};
 
@@ -226,19 +206,6 @@ class CgroupFlushControl {
   // NoteDirtied only appends a file whose on_dirty_list CAS it wins.
   std::mutex files_mu_;
   std::vector<AddressSpace*> dirty_files_;
-
-  std::atomic<uint64_t> wakeups_{0};
-  std::atomic<uint64_t> flush_ticks_{0};
-  std::atomic<uint64_t> pages_written_{0};
-  std::atomic<uint64_t> extents_written_{0};
-  std::atomic<uint64_t> deferred_pages_{0};
-  std::atomic<uint64_t> throttle_entries_{0};
-  std::atomic<uint64_t> dirty_throttle_ns_{0};
-  std::atomic<uint64_t> writeback_ns_{0};
-  std::atomic<uint64_t> sync_entries_{0};
-  std::atomic<uint64_t> stalled_ticks_{0};
-  std::atomic<uint64_t> lost_wakeups_{0};
-  std::atomic<uint64_t> partial_flushes_{0};
 };
 
 }  // namespace cache_ext::writeback

@@ -369,5 +369,89 @@ TEST_F(PageCacheTest, UnalignedReadSpanningPages) {
   EXPECT_EQ(middle, data.substr(kPageSize - 10, 20));
 }
 
+// A policy that evicts nothing and reports fixed PolicyRuntimeCounters: the
+// row values of the counter table's kPolicy rows, scaled by `scale`.
+class FixedCountersPolicy : public ReclaimPolicy {
+ public:
+  explicit FixedCountersPolicy(uint64_t scale) : scale_(scale) {}
+  std::string_view name() const override { return "fixed_counters"; }
+  void FolioAdded(Folio*) override {}
+  void FolioAccessed(Folio*) override {}
+  void FolioRemoved(Folio*) override {}
+  void EvictFolios(EvictionCtx*, MemCgroup*) override {}
+  PolicyRuntimeCounters RuntimeCounters() const override {
+    return {.map_lookups = 1 * scale_,
+            .local_storage_hits = 2 * scale_,
+            .evict_alloc_bytes = 3 * scale_,
+            .evict_arena_reuses = 4 * scale_,
+            .ir_jit_compiles = 5 * scale_,
+            .ir_jit_ns = 6 * scale_,
+            .ir_interp_fallbacks = 7 * scale_};
+  }
+
+ private:
+  uint64_t scale_;
+};
+
+TEST_F(PageCacheTest, CounterTableWiring) {
+  // A fresh cgroup snapshots all-zero.
+  const CgroupCacheStats fresh = pc_->StatsFor(cg_);
+  for (const CgroupCounterInfo& info : kCgroupCounters) {
+    EXPECT_EQ(fresh[info.id], 0u) << info.name;
+  }
+
+  // Each row bumped by a distinct amount lands in the field of its name.
+  CgroupCounters counters;
+  for (size_t i = 0; i < kNumCgroupCounters; ++i) {
+    counters.Add(kCgroupCounters[i].id, 100 + i);
+  }
+  CgroupCacheStats loaded;
+  loaded.LoadCounters(counters);
+#define EXPECT_ROW_IN_FIELD(name, unit, layer, doc)                    \
+  EXPECT_EQ(loaded.name,                                               \
+            100 + static_cast<uint64_t>(CgroupCounter::name)) << #name;
+  CACHE_EXT_CGROUP_COUNTERS(EXPECT_ROW_IN_FIELD)
+#undef EXPECT_ROW_IN_FIELD
+
+  // The live attachment's PolicyRuntimeCounters overlay the snapshot...
+  ASSERT_TRUE(
+      pc_->AttachExtPolicy(cg_, std::make_unique<FixedCountersPolicy>(1))
+          .ok());
+  CgroupCacheStats stats = pc_->StatsFor(cg_);
+  EXPECT_EQ(stats.ext_map_lookups, 1u);
+  EXPECT_EQ(stats.ext_local_storage_hits, 2u);
+  EXPECT_EQ(stats.ext_evict_alloc_bytes, 3u);
+  EXPECT_EQ(stats.ext_evict_arena_reuses, 4u);
+  EXPECT_EQ(stats.ext_ir_jit_compiles, 5u);
+  EXPECT_EQ(stats.ext_ir_jit_ns, 6u);
+  EXPECT_EQ(stats.ext_ir_interp_fallbacks, 7u);
+
+  // ...survive the detach (the fold)...
+  ASSERT_TRUE(pc_->DetachExtPolicy(cg_).ok());
+  EXPECT_EQ(pc_->ext_policy(cg_), nullptr);
+  stats = pc_->StatsFor(cg_);
+  EXPECT_EQ(stats.ext_map_lookups, 1u);
+  EXPECT_EQ(stats.ext_ir_interp_fallbacks, 7u);
+
+  // ...and add to the next live attachment.
+  ASSERT_TRUE(
+      pc_->AttachExtPolicy(cg_, std::make_unique<FixedCountersPolicy>(10))
+          .ok());
+  stats = pc_->StatsFor(cg_);
+  EXPECT_EQ(stats.ext_map_lookups, 11u);
+  EXPECT_EQ(stats.ext_local_storage_hits, 22u);
+  EXPECT_EQ(stats.ext_evict_alloc_bytes, 33u);
+  EXPECT_EQ(stats.ext_evict_arena_reuses, 44u);
+  EXPECT_EQ(stats.ext_ir_jit_compiles, 55u);
+  EXPECT_EQ(stats.ext_ir_jit_ns, 66u);
+  EXPECT_EQ(stats.ext_ir_interp_fallbacks, 77u);
+  // Rows outside the policy layer are untouched by attach and detach.
+  for (const CgroupCounterInfo& info : kCgroupCounters) {
+    if (info.layer != CounterLayer::kPolicy) {
+      EXPECT_EQ(stats[info.id], 0u) << info.name;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cache_ext

@@ -203,7 +203,8 @@ TEST(WatermarkTest, ForCgroupTracksRuntimeChurn) {
 // --- Hysteresis ------------------------------------------------------------
 
 TEST(ReclaimControlTest, HysteresisPreventsWakeupThrash) {
-  CgroupReclaimControl control(1);
+  CgroupCounters counters;
+  CgroupReclaimControl control(1, counters);
   Watermarks wm;
   wm.limit_pages = 1000;
   wm.low_pages = 100;   // wake when charged > 900
@@ -213,14 +214,14 @@ TEST(ReclaimControlTest, HysteresisPreventsWakeupThrash) {
   // Cross the low watermark: exactly one wakeup.
   EXPECT_FALSE(control.ShouldWake(850, wm));
   EXPECT_TRUE(control.ShouldWake(901, wm));
-  EXPECT_EQ(control.Snapshot().wakeups, 1u);
+  EXPECT_EQ(counters.Get(CgroupCounter::reclaim_wakeups), 1u);
 
   // Oscillate around the wake threshold mid-run: the latch holds, the
   // reclaimer keeps running, and no new wakeups are counted.
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(control.ShouldWake(i % 2 == 0 ? 899 : 901, wm));
   }
-  EXPECT_EQ(control.Snapshot().wakeups, 1u);
+  EXPECT_EQ(counters.Get(CgroupCounter::reclaim_wakeups), 1u);
 
   // Reaching the high-watermark target releases the latch...
   EXPECT_FALSE(control.ShouldWake(800, wm));
@@ -228,11 +229,11 @@ TEST(ReclaimControlTest, HysteresisPreventsWakeupThrash) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_FALSE(control.ShouldWake(i % 2 == 0 ? 850 : 880, wm));
   }
-  EXPECT_EQ(control.Snapshot().wakeups, 1u);
+  EXPECT_EQ(counters.Get(CgroupCounter::reclaim_wakeups), 1u);
 
   // Only crossing low again wakes a second time.
   EXPECT_TRUE(control.ShouldWake(950, wm));
-  EXPECT_EQ(control.Snapshot().wakeups, 2u);
+  EXPECT_EQ(counters.Get(CgroupCounter::reclaim_wakeups), 2u);
 }
 
 // --- Healthy daemon: allocations never stall -------------------------------

@@ -402,6 +402,21 @@ TEST(VerifierEndToEndTest, LoaderVerifyExposesTheLog) {
   EXPECT_FALSE(log.FailureSummary().empty());
 }
 
+TEST(VerifierEndToEndTest, AttachRejectionCountsAsRejectedAtLoad) {
+  SimDisk disk;
+  SsdModel ssd(SsdModelOptions{});
+  PageCache cache(&disk, &ssd);
+  MemCgroup* cg = cache.CreateCgroup("/rejected", 16 * kPageSize);
+  CacheExtLoader loader(&cache);
+  EXPECT_EQ(cache.StatsFor(cg).rejected_at_load, 0u);
+  // Pass 2 rejects it: policy_init fails in the dry run.
+  Ops ops = DeclaredFifoOps();
+  ops.policy_init = [](CacheExtApi&, MemCgroup*) -> int32_t { return -22; };
+  EXPECT_FALSE(loader.Attach(cg, std::move(ops)).ok());
+  EXPECT_EQ(cache.StatsFor(cg).rejected_at_load, 1u);
+  EXPECT_EQ(cache.ext_policy(cg), nullptr);
+}
+
 TEST(VerifierEndToEndTest, LogRendersPassAndFailLinesWithTrace) {
   Ops ops = DeclaredFifoOps();
   ops.helper_budget = 16;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: configure, build, and run the full test suite.
 #
-#   tools/check.sh              # build + ctest in ./build
+#   tools/check.sh              # build (warnings are errors) + ctest in
+#                               # ./build
 #   tools/check.sh --sanitize   # additionally build + ctest under ASan+UBSan
 #   tools/check.sh --chaos      # ASan build, chaos-labelled tests (incl.
 #                               # the reclaim stall/death/overshoot suite)
@@ -165,8 +166,8 @@ if [[ "$analyze" == 1 ]]; then
   exit 0
 fi
 
-echo "== tier-1: build + ctest (build/) =="
-run_suite build
+echo "== tier-1: build with -Werror + ctest (build/) =="
+run_suite build -DCMAKE_CXX_FLAGS=-Werror
 
 if [[ "$sanitize" == 1 ]]; then
   echo "== sanitizers: ASan + UBSan (build-asan/) =="
