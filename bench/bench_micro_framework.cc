@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the framework's hot-path
 // primitives, supporting §6.3's overhead analysis and calibrating the
 // CpuCostModel defaults in src/sim/cpu_cost.h:
-//  - valid-folio registry insert/contains/remove (§4.4);
+//  - valid-folio registry insert/remove, the untrusted contains walk (§4.4)
+//    and the trusted owner-tag check;
 //  - eviction-list kfuncs: add/move/iterate (§4.2.2);
 //  - bpf map update/lookup, LRU-hash update, ring buffer output (§4.1);
 //  - xarray load/store (page-cache index);
@@ -27,7 +28,8 @@ namespace cache_ext {
 namespace {
 
 // --- Registry (per-event overhead: one insert + one remove per residency,
-// one contains per eviction candidate) ---------------------------------------
+// one trusted check per accessed/removed event, one contains per eviction
+// candidate) -----------------------------------------------------------------
 
 void BM_RegistryInsertRemove(benchmark::State& state) {
   FolioRegistry registry(1 << 16);
@@ -53,6 +55,23 @@ void BM_RegistryContains(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RegistryContains);
+
+// The membership check on a trusted folio (accessed/removed hooks, list
+// kfuncs): one owner-tag compare against the folio, no bucket lock.
+void BM_RegistryTrustedCheck(benchmark::State& state) {
+  FolioRegistry registry(1 << 16);
+  std::vector<std::unique_ptr<Folio>> folios;
+  for (int i = 0; i < 4096; ++i) {
+    folios.push_back(std::make_unique<Folio>());
+    registry.Insert(folios.back().get());
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        registry.Owns(folios[i++ % folios.size()].get()));
+  }
+}
+BENCHMARK(BM_RegistryTrustedCheck);
 
 // --- Eviction-list kfuncs ----------------------------------------------------
 

@@ -7,8 +7,6 @@
 namespace cache_ext::bpf {
 
 namespace {
-thread_local RunContext* tls_current = nullptr;
-
 // Budget a shrink fault clamps to when the schedule carries no magnitude:
 // small enough that any program doing real work aborts, nonzero so programs
 // that make no helper calls stay unaffected (nothing to budget).
@@ -16,8 +14,8 @@ constexpr uint64_t kDefaultShrunkBudget = 4;
 }  // namespace
 
 RunContext::RunContext(uint64_t helper_budget)
-    : parent_(tls_current), budget_(helper_budget) {
-  tls_current = this;
+    : parent_(current_), budget_(helper_budget) {
+  current_ = this;
   uint64_t magnitude = 0;
   if (fault::InjectFault(fault::points::kBpfRunBudgetShrink, &magnitude)) {
     budget_ = std::min(budget_,
@@ -28,21 +26,6 @@ RunContext::RunContext(uint64_t helper_budget)
     // helper call; every subsequent kfunc from it fails.
     aborted_ = true;
   }
-}
-
-RunContext::~RunContext() { tls_current = parent_; }
-
-RunContext* RunContext::Current() { return tls_current; }
-
-bool RunContext::CountHelperCall() {
-  if (aborted_) {
-    return false;
-  }
-  if (++helper_calls_ > budget_) {
-    aborted_ = true;
-    return false;
-  }
-  return true;
 }
 
 }  // namespace cache_ext::bpf

@@ -18,22 +18,33 @@ namespace cache_ext::bpf {
 class RunContext {
  public:
   explicit RunContext(uint64_t helper_budget);
-  ~RunContext();
+  ~RunContext() { current_ = parent_; }
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
 
   // The innermost active context on this thread, or nullptr when no policy
   // program is running (kernel-side calls are unrestricted).
-  static RunContext* Current();
+  static RunContext* Current() { return current_; }
 
   // Charge one helper/kfunc call. Returns false once the budget is
   // exhausted; the context is then marked aborted.
-  bool CountHelperCall();
+  bool CountHelperCall() {
+    if (aborted_) {
+      return false;
+    }
+    if (++helper_calls_ > budget_) {
+      aborted_ = true;
+      return false;
+    }
+    return true;
+  }
 
   bool aborted() const { return aborted_; }
   uint64_t helper_calls() const { return helper_calls_; }
 
  private:
+  static inline thread_local RunContext* current_ = nullptr;
+
   RunContext* parent_;
   uint64_t budget_;
   uint64_t helper_calls_ = 0;

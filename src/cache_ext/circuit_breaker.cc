@@ -5,14 +5,51 @@
 namespace cache_ext {
 
 HookCircuitBreaker::HookCircuitBreaker(const CircuitBreakerOptions& options)
-    : options_(options) {
+    : options_(options),
+      // On a violation-free window a success trips only if
+      // 0 >= trip_rate * invocations, i.e. trip_rate <= 0, and escalates
+      // only on the first record when either escalation bound is 0.
+      count_only_successes_(!(options.trip_rate <= 0.0) &&
+                            options.hooks_to_detach > 0 &&
+                            options.hard_violation_limit > 0) {
   CHECK_GT(options_.window, 0u);
+  for (std::atomic<uint64_t>& pending : pending_) {
+    pending.store(count_only_successes_ ? 0 : kLocked,
+                  std::memory_order_relaxed);
+  }
 }
 
-bool HookCircuitBreaker::Record(PolicyHook hook, bool violation) {
+void HookCircuitBreaker::FoldPending(uint32_t index) const {
+  uint64_t n =
+      pending_[index].fetch_and(kLocked, std::memory_order_relaxed) & ~kLocked;
+  if (n == 0) {
+    return;
+  }
+  // n successes, each of which incremented both invocation counters and
+  // halved the window counters on reaching `window`. The window held no
+  // violation, so only the invocation count moves, and it stays below
+  // `window` between records.
+  HookState& st = hooks_[index];
+  DCHECK(st.window_violations == 0);
+  st.total_invocations += n;
+  const uint64_t to_halving = options_.window - st.window_invocations;
+  if (n < to_halving) {
+    st.window_invocations += n;
+    return;
+  }
+  n -= to_halving;
+  const uint64_t halved = options_.window / 2;
+  st.window_invocations = halved + n % (options_.window - halved);
+}
+
+bool HookCircuitBreaker::RecordLocked(PolicyHook hook, bool violation) {
   const auto index = static_cast<uint32_t>(hook);
   DCHECK(index < kNumPolicyHooks);
   std::lock_guard<std::mutex> lock(mu_);
+  // Close the hook's count-only path while its state moves: a success that
+  // lands after this point takes the mutex and is ordered after us.
+  pending_[index].fetch_or(kLocked, std::memory_order_relaxed);
+  FoldPending(index);
   HookState& st = hooks_[index];
   ++st.window_invocations;
   ++st.total_invocations;
@@ -47,6 +84,9 @@ bool HookCircuitBreaker::Record(PolicyHook hook, bool violation) {
       escalated_.store(true, std::memory_order_relaxed);
     }
   }
+  if (count_only_successes_ && st.window_violations == 0) {
+    pending_[index].store(0, std::memory_order_relaxed);
+  }
   return newly_tripped;
 }
 
@@ -61,6 +101,7 @@ PolicyHookHealth HookCircuitBreaker::Health() const {
   health.degraded_mask = degraded_mask_.load(std::memory_order_relaxed);
   health.escalate_detach = escalated_.load(std::memory_order_relaxed);
   for (uint32_t i = 0; i < kNumPolicyHooks; ++i) {
+    FoldPending(i);
     health.trips[i] = hooks_[i].trips;
     health.violations[i] = hooks_[i].total_violations;
     health.invocations[i] = hooks_[i].total_invocations;

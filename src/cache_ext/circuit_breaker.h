@@ -14,6 +14,15 @@
 // halved every `window` invocations, so old violations age out and a burst
 // of failures trips quickly while a long-healthy hook shrugs off a stray
 // abort.
+//
+// The success path counts instead of locking. While a hook's window holds
+// no violation, a success can neither trip nor escalate, so Record() only
+// bumps the hook's pending count (one relaxed CAS). The count is folded
+// into the window and total counters, under the mutex, before the next
+// violation or locked success on that hook and before every Health() read.
+// Folding reproduces the sequential halving exactly, so any outcome
+// sequence gives the same trips, escalation and Health() as recording
+// every success under the lock.
 
 #ifndef SRC_CACHE_EXT_CIRCUIT_BREAKER_H_
 #define SRC_CACHE_EXT_CIRCUIT_BREAKER_H_
@@ -47,7 +56,20 @@ class HookCircuitBreaker {
 
   // Record one hook invocation outcome. Returns true when this record
   // tripped the hook (transition only, not for already-tripped hooks).
-  bool Record(PolicyHook hook, bool violation);
+  bool Record(PolicyHook hook, bool violation) {
+    if (!violation) {
+      std::atomic<uint64_t>& pending =
+          pending_[static_cast<uint32_t>(hook)];
+      uint64_t cur = pending.load(std::memory_order_relaxed);
+      while ((cur & kLocked) == 0) {
+        if (pending.compare_exchange_weak(cur, cur + 1,
+                                          std::memory_order_relaxed)) {
+          return false;
+        }
+      }
+    }
+    return RecordLocked(hook, violation);
+  }
 
   // Degraded = tripped; stays tripped for the life of the attachment (a
   // fresh attach after quarantine starts with a clean breaker).
@@ -74,9 +96,22 @@ class HookCircuitBreaker {
     bool tripped = false;
   };
 
+  // Pending-count flag: the hook's window holds a violation (or the options
+  // let a success trip or escalate), so successes take the mutex.
+  static constexpr uint64_t kLocked = 1ull << 63;
+
+  bool RecordLocked(PolicyHook hook, bool violation);
+  // Moves hook `index`'s pending successes into its counters. mu_ held.
+  void FoldPending(uint32_t index) const;
+
   CircuitBreakerOptions options_;
+  // Whether a success on a violation-free window is provably a no-op
+  // beyond counting (see the constructor).
+  bool count_only_successes_;
   mutable std::mutex mu_;
-  std::array<HookState, kNumPolicyHooks> hooks_;
+  mutable std::array<HookState, kNumPolicyHooks> hooks_;
+  // Per hook: successes not yet folded into hooks_, plus kLocked.
+  mutable std::array<std::atomic<uint64_t>, kNumPolicyHooks> pending_;
   // Mirrors of state readable without the lock, for the dispatch fast path.
   std::atomic<uint32_t> degraded_mask_{0};
   std::atomic<bool> escalated_{false};

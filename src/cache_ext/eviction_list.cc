@@ -15,20 +15,11 @@ CacheExtApi::CacheExtApi(FolioRegistry* registry) : registry_(registry) {
   CHECK_NOTNULL(registry_);
 }
 
-CacheExtApi::~CacheExtApi() {
-  // Unlink every node so registry entries can be destroyed cleanly.
-  MutexLock lock(mu_);
-  for (auto& [id, list] : lists_) {
-    ExtListNode* node = list->head.next;
-    while (node != &list->head) {
-      ExtListNode* next = node->next;
-      node->prev = nullptr;
-      node->next = nullptr;
-      node->list_id = 0;
-      node = next;
-    }
-  }
-}
+// The nodes still on lists live in folios that may already be freed (the
+// verifier dry run's folios, a page cache torn down before its policies), so
+// teardown never walks them. Their owner tags go stale with the registry;
+// the folio's next Insert resets the node.
+CacheExtApi::~CacheExtApi() = default;
 
 void CacheExtApi::Notify(bpf::verifier::Kfunc kfunc, ErrorCode code,
                          uint64_t list_id, uint64_t iterations) const {
@@ -191,14 +182,14 @@ Expected<uint64_t> CacheExtApi::ListIdOf(const Folio* folio) const {
     Notify(bpf::verifier::Kfunc::kListIdOf, ErrorCode::kResourceExhausted, 0);
     return ResourceExhausted("program helper budget exhausted");
   }
-  ExtListNode* node = registry_->Find(folio);
-  if (node == nullptr) {
+  if (folio == nullptr || !registry_->Owns(folio)) {
     Notify(bpf::verifier::Kfunc::kListIdOf, ErrorCode::kInvalidArgument, 0);
     return InvalidArgument("folio not registered");
   }
   MutexLock lock(mu_);
-  Notify(bpf::verifier::Kfunc::kListIdOf, ErrorCode::kOk, node->list_id);
-  return node->list_id;
+  const uint64_t list_id = folio->ext.node.list_id;
+  Notify(bpf::verifier::Kfunc::kListIdOf, ErrorCode::kOk, list_id);
+  return list_id;
 }
 
 int32_t CacheExtApi::CurrentPid() const {

@@ -58,7 +58,7 @@ Status CacheExtPolicy::Init() {
 }
 
 void CacheExtPolicy::FolioAdded(Folio* folio) {
-  // Register first: the program's list_add() needs the registry entry. The
+  // Register first: the program's list_add() needs the folio registered. The
   // registry insert is a kernel obligation and runs even when the hook is
   // degraded — candidate validation depends on it.
   registry_.Insert(folio);
@@ -69,7 +69,8 @@ void CacheExtPolicy::FolioAdded(Folio* folio) {
 }
 
 void CacheExtPolicy::FolioAccessed(Folio* folio) {
-  if (!registry_.Contains(folio)) {
+  // Trusted pointer from the page cache: an owner-tag compare, no hash.
+  if (!registry_.Owns(folio)) {
     // Should not happen (attach introduces resident folios), but a policy
     // must never observe unregistered folios.
     FolioAdded(folio);
@@ -82,7 +83,7 @@ void CacheExtPolicy::FolioAccessed(Folio* folio) {
 }
 
 void CacheExtPolicy::FolioRemoved(Folio* folio) {
-  if (!registry_.Contains(folio)) {
+  if (!registry_.Owns(folio)) {
     return;
   }
   // Tell the policy first (it cleans its maps while the folio is still
@@ -92,8 +93,16 @@ void CacheExtPolicy::FolioRemoved(Folio* folio) {
   if (!Degraded(PolicyHook::kRemoved)) {
     RunProgram(PolicyHook::kRemoved, [&] { ops_.folio_removed(api_, folio); });
   }
-  api_.UnlinkForRemoval(folio);
-  registry_.Remove(folio);
+  FolioReleased(folio);
+}
+
+void CacheExtPolicy::FolioReleased(Folio* folio) {
+  // The registry chain runs through the folio itself, so the folio must
+  // leave it before it is freed.
+  if (registry_.Owns(folio)) {
+    api_.UnlinkForRemoval(folio);
+    registry_.Remove(folio);
+  }
 }
 
 void CacheExtPolicy::EvictFolios(EvictionCtx* ctx, MemCgroup* memcg) {

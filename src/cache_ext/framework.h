@@ -47,6 +47,7 @@ class CacheExtPolicy : public ReclaimPolicy {
   void FolioAdded(Folio* folio) override;
   void FolioAccessed(Folio* folio) override;
   void FolioRemoved(Folio* folio) override;
+  void FolioReleased(Folio* folio) override;
   void EvictFolios(EvictionCtx* ctx, MemCgroup* memcg) override;
   bool AdmitFolio(const AdmissionCtx& ctx) override;
   int64_t RequestPrefetch(const PrefetchCtx& ctx) override;

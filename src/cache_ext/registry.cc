@@ -1,25 +1,19 @@
 #include "src/cache_ext/registry.h"
 
-#include <atomic>
-
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 
 namespace cache_ext {
 
-FolioRegistry::FolioRegistry(uint64_t nr_buckets)
-    : buckets_(nr_buckets == 0 ? 1 : nr_buckets) {}
+namespace {
+// Owner tags. Never reused: a registry allocated at a freed one's address
+// must not recognise the folios its predecessor left tagged.
+std::atomic<uint64_t> next_registry_id{1};
+}  // namespace
 
-FolioRegistry::~FolioRegistry() {
-  for (Bucket& bucket : buckets_) {
-    Entry* entry = bucket.head;
-    while (entry != nullptr) {
-      Entry* next = entry->hash_next;
-      delete entry;
-      entry = next;
-    }
-  }
-}
+FolioRegistry::FolioRegistry(uint64_t nr_buckets)
+    : id_(next_registry_id.fetch_add(1, std::memory_order_relaxed)),
+      buckets_(nr_buckets == 0 ? 1 : nr_buckets) {}
 
 size_t FolioRegistry::BucketFor(const Folio* folio) const {
   // Pointer-hash: folios are heap objects, so scramble the address.
@@ -27,59 +21,53 @@ size_t FolioRegistry::BucketFor(const Folio* folio) const {
 }
 
 bool FolioRegistry::Insert(Folio* folio) {
-  Bucket& bucket = buckets_[BucketFor(folio)];
-  bpf::SpinLockGuard guard(bucket.lock);
-  for (Entry* e = bucket.head; e != nullptr; e = e->hash_next) {
-    if (e->node.folio == folio) {
-      return false;
-    }
+  if (Owns(folio)) {
+    return false;
   }
-  auto* entry = new Entry();
-  entry->node.folio = folio;
-  entry->hash_next = bucket.head;
-  bucket.head = entry;
+  FolioExtState& ext = folio->ext;
+  ext.node = ExtListNode{};
+  ext.node.folio = folio;
+  ext.owner = id_;
+  Bucket& bucket = buckets_[BucketFor(folio)];
+  {
+    bpf::SpinLockGuard guard(bucket.lock);
+    ext.hash_next = bucket.head;
+    bucket.head = folio;
+  }
   size_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 bool FolioRegistry::Remove(Folio* folio) {
-  Bucket& bucket = buckets_[BucketFor(folio)];
-  bpf::SpinLockGuard guard(bucket.lock);
-  Entry** link = &bucket.head;
-  while (*link != nullptr) {
-    Entry* entry = *link;
-    if (entry->node.folio == folio) {
-      DCHECK(!entry->node.OnList());
-      *link = entry->hash_next;
-      delete entry;
-      size_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-    link = &entry->hash_next;
+  if (!Owns(folio)) {
+    return false;
   }
-  return false;
+  DCHECK(!folio->ext.node.OnList());
+  Bucket& bucket = buckets_[BucketFor(folio)];
+  {
+    bpf::SpinLockGuard guard(bucket.lock);
+    Folio** link = &bucket.head;
+    while (*link != folio) {
+      CHECK_NOTNULL(*link);
+      link = &(*link)->ext.hash_next;
+    }
+    *link = folio->ext.hash_next;
+  }
+  folio->ext.hash_next = nullptr;
+  folio->ext.owner = 0;
+  size_.fetch_sub(1, std::memory_order_relaxed);
+  return true;
 }
 
 bool FolioRegistry::Contains(const Folio* folio) const {
   const Bucket& bucket = buckets_[BucketFor(folio)];
   bpf::SpinLockGuard guard(bucket.lock);
-  for (const Entry* e = bucket.head; e != nullptr; e = e->hash_next) {
-    if (e->node.folio == folio) {
+  for (const Folio* f = bucket.head; f != nullptr; f = f->ext.hash_next) {
+    if (f == folio) {
       return true;
     }
   }
   return false;
-}
-
-ExtListNode* FolioRegistry::Find(const Folio* folio) {
-  Bucket& bucket = buckets_[BucketFor(folio)];
-  bpf::SpinLockGuard guard(bucket.lock);
-  for (Entry* e = bucket.head; e != nullptr; e = e->hash_next) {
-    if (e->node.folio == folio) {
-      return &e->node;
-    }
-  }
-  return nullptr;
 }
 
 uint64_t FolioRegistry::Size() const {
@@ -87,7 +75,8 @@ uint64_t FolioRegistry::Size() const {
 }
 
 uint64_t FolioRegistry::MemoryBytes() const {
-  // 16 bytes per bucket + 32 bytes per filled entry (§6.3.1).
+  // 16 bytes per bucket + 32 bytes per filled entry (§6.3.1), though the
+  // entry bytes are carried by each Folio here.
   return buckets_.size() * 16 + Size() * 32;
 }
 

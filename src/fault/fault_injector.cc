@@ -18,11 +18,6 @@ std::vector<std::string_view> AllFaultPoints() {
   };
 }
 
-FaultInjector& FaultInjector::Global() {
-  static FaultInjector* injector = new FaultInjector();
-  return *injector;
-}
-
 void FaultInjector::Arm(std::string_view point, const FaultSchedule& schedule) {
   MutexLock lock(mu_);
   auto [it, inserted] = points_.insert_or_assign(std::string(point),
@@ -46,10 +41,8 @@ void FaultInjector::DisarmAll() {
   points_.clear();
 }
 
-bool FaultInjector::ShouldFail(std::string_view point, uint64_t* magnitude) {
-  if (armed_.load(std::memory_order_relaxed) == 0) {
-    return false;
-  }
+bool FaultInjector::ShouldFailArmed(std::string_view point,
+                                    uint64_t* magnitude) {
   MutexLock lock(mu_);
   auto it = points_.find(std::string(point));
   if (it == points_.end()) {

@@ -126,7 +126,10 @@ struct FaultSchedule {
 class FaultInjector {
  public:
   // The process-global injector all fault points consult.
-  static FaultInjector& Global();
+  static FaultInjector& Global() {
+    static FaultInjector* const injector = new FaultInjector();
+    return *injector;
+  }
 
   FaultInjector() = default;
   FaultInjector(const FaultInjector&) = delete;
@@ -137,8 +140,14 @@ class FaultInjector {
   void DisarmAll();
 
   // Called by fault sites. Returns true when the fault should fire; fills
-  // `magnitude` (if non-null) with the schedule's magnitude on fire.
-  bool ShouldFail(std::string_view point, uint64_t* magnitude = nullptr);
+  // `magnitude` (if non-null) with the schedule's magnitude on fire. With
+  // nothing armed this is one relaxed load, inlined at the site.
+  bool ShouldFail(std::string_view point, uint64_t* magnitude = nullptr) {
+    if (armed_.load(std::memory_order_relaxed) == 0) {
+      return false;
+    }
+    return ShouldFailArmed(point, magnitude);
+  }
 
   // Introspection (counts since the point was armed; reset by Arm/Disarm).
   uint64_t hits(std::string_view point) const;
@@ -158,6 +167,9 @@ class FaultInjector {
 
     explicit Point(const FaultSchedule& s) : schedule(s), rng(s.seed) {}
   };
+
+  // ShouldFail's slow path: look the point up and run its schedule.
+  bool ShouldFailArmed(std::string_view point, uint64_t* magnitude);
 
   mutable Mutex mu_;
   std::unordered_map<std::string, Point> points_ CACHE_EXT_GUARDED_BY(mu_);

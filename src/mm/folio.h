@@ -23,6 +23,7 @@ namespace cache_ext {
 
 class AddressSpace;
 class MemCgroup;
+struct Folio;
 
 inline constexpr uint64_t kPageSize = 4096;
 
@@ -34,6 +35,31 @@ enum FolioFlag : uint32_t {
   kFolioWorkingset = 1u << 4,  // refaulted within the workingset window
   kFolioDropBehind = 1u << 5,  // FADV_NOREUSE-style hint: evict early
   kFolioWriteback = 1u << 6,   // device write in flight (PG_writeback)
+};
+
+// Node linking a folio into one cache_ext eviction list (§4.2.2). prev/next
+// point at other folios' nodes (or a list sentinel). list_id == 0 means
+// "not on a list".
+struct ExtListNode {
+  ExtListNode* prev = nullptr;
+  ExtListNode* next = nullptr;
+  uint64_t list_id = 0;
+  Folio* folio = nullptr;  // back-pointer for iteration
+
+  bool OnList() const { return list_id != 0; }
+};
+
+// A folio's cache_ext state, owned by the attachment whose FolioRegistry
+// registered it. The fields mean something only while `owner` equals that
+// registry's id: ids are never reused, so a folio left behind by a detached
+// attachment reads as unregistered to every live one, and the next Insert
+// overwrites the stale node and chain link without reading them. Guarded by
+// the owning cgroup's lock (hook dispatch is serialized per cgroup); the
+// chain link is also covered by its registry bucket's spinlock.
+struct FolioExtState {
+  ExtListNode node;
+  uint64_t owner = 0;          // registering attachment's id; 0 = none
+  Folio* hash_next = nullptr;  // next folio in the registry bucket chain
 };
 
 struct Folio {
@@ -60,9 +86,11 @@ struct Folio {
   // mapped buffers); pinned folios are not evictable (§4.2.3).
   std::atomic<uint32_t> pins{0};
 
-  // Linkage on the *base* (native) policy's lists. cache_ext eviction lists
-  // keep their own nodes in the registry, per §4.2.2.
+  // Linkage on the *base* (native) policy's lists.
   ListNode lru;
+
+  // Linkage on the attached cache_ext policy's lists and registry.
+  FolioExtState ext;
 
   // MGLRU bookkeeping (native implementation).
   uint32_t gen = 0;        // generation sequence number this folio belongs to

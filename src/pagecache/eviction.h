@@ -227,7 +227,7 @@ struct WritebackCtx {
 //  - native/base policies (default two-list LRU, native MGLRU), which link
 //    folios through Folio::lru;
 //  - the cache_ext adapter, which dispatches to loaded "eBPF" programs and
-//    keeps folio linkage in its own registry.
+//    links folios through Folio::ext.
 class ReclaimPolicy {
  public:
   virtual ~ReclaimPolicy() = default;
@@ -242,6 +242,11 @@ class ReclaimPolicy {
   // normal eviction path (file deleted, fadvise(DONTNEED), truncation). The
   // policy must drop any metadata it holds for the folio (§4.2.1).
   virtual void FolioRemoved(Folio* folio) = 0;
+  // Folio left the page cache while this attached policy is no longer
+  // dispatched to (the watchdog latched it off). No policy code runs; the
+  // policy only drops bookkeeping that would otherwise point at a freed
+  // folio.
+  virtual void FolioReleased(Folio* folio) { (void)folio; }
   // Propose eviction candidates for `memcg` into ctx.
   virtual void EvictFolios(EvictionCtx* ctx, MemCgroup* memcg) = 0;
 

@@ -354,6 +354,8 @@ void PageCache::DispatchRemoved(Lane& lane, CgroupState& st, Folio* folio) {
   if (ExtActive(st)) {
     st.ext->FolioRemoved(folio);
     lane.Charge(st.ext->PerEventCostNs());
+  } else if (st.ext != nullptr) {
+    st.ext->FolioReleased(folio);
   }
   st.base->FolioRemoved(folio);
   lane.Charge(st.base->PerEventCostNs());

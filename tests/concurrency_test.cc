@@ -19,6 +19,7 @@
 #include "src/bpf/ir/compile.h"
 #include "src/bpf/lru_hash_map.h"
 #include "src/bpf/map.h"
+#include "src/cache_ext/circuit_breaker.h"
 #include "src/cache_ext/eviction_list.h"
 #include "src/cache_ext/loader.h"
 #include "src/fault/fault_injector.h"
@@ -364,6 +365,45 @@ TEST(ConcurrencyTest, ParallelReadersAcrossCgroupsAndSharedFile) {
   }
   EXPECT_LE(rig->pc->TotalResidentPages(),
             static_cast<uint64_t>(kThreads) * kCgroupPages);
+}
+
+TEST(ConcurrencyTest, BreakerCountOnlySuccessesLoseNoRecord) {
+  // Successes on a violation-free window only bump a pending count; the
+  // violations that close that path, and a concurrent Health() reader that
+  // folds it, race the bumps from every thread. No outcome may be lost.
+  constexpr int kThreads = 4;
+  constexpr uint64_t kRecords = 20000;
+  constexpr uint64_t kViolationEvery = 101;
+  CircuitBreakerOptions options;
+  options.hard_violation_limit = UINT64_MAX;
+  HookCircuitBreaker breaker(options);
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      (void)breaker.Health();
+    }
+  });
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&breaker, t] {
+      const auto hook = static_cast<PolicyHook>(t % 2);
+      for (uint64_t i = 1; i <= kRecords; ++i) {
+        (void)breaker.Record(hook, i % kViolationEvery == 0);
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  done.store(true, std::memory_order_relaxed);
+  reader.join();
+  const PolicyHookHealth health = breaker.Health();
+  constexpr uint64_t kThreadsPerHook = kThreads / 2;
+  for (uint32_t h = 0; h < 2; ++h) {
+    EXPECT_EQ(health.invocations[h], kThreadsPerHook * kRecords);
+    EXPECT_EQ(health.violations[h],
+              kThreadsPerHook * (kRecords / kViolationEvery));
+  }
+  // At under 1% violations, neither hook tripped.
+  EXPECT_EQ(health.degraded_mask, 0u);
 }
 
 TEST(ConcurrencyTest, BreakerCountersSurviveConcurrentHookAborts) {

@@ -75,6 +75,52 @@ TEST_F(EvictionListTest, AddRejectsUnregisteredFolio) {
             ErrorCode::kInvalidArgument);
 }
 
+TEST_F(EvictionListTest, FolioKfuncsRejectNullFolio) {
+  const uint64_t list = MustCreateList();
+  EXPECT_EQ(api_.ListAdd(list, nullptr, true).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(api_.ListMove(list, nullptr, false).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(api_.ListDel(nullptr).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(api_.ListIdOf(nullptr).status().code(),
+            ErrorCode::kInvalidArgument);
+  api_.UnlinkForRemoval(nullptr);  // framework path: a no-op
+  EXPECT_EQ(*api_.ListSize(list), 0u);
+}
+
+TEST_F(EvictionListTest, FolioKfuncsRejectFolioOfDetachedAttachment) {
+  // An attachment registers a folio and links it, then goes away without
+  // unregistering it (detach leaves resident folios tagged). The folio's
+  // node still points into the dead attachment's list.
+  Folio folio;
+  {
+    FolioRegistry old_registry(64);
+    CacheExtApi old_api(&old_registry);
+    const uint64_t old_list = *old_api.ListCreate();
+    ASSERT_TRUE(old_registry.Insert(&folio));
+    ASSERT_TRUE(old_api.ListAdd(old_list, &folio, true).ok());
+  }
+  // The live attachment never registered it: every folio kfunc refuses it
+  // without touching the stale node.
+  const uint64_t list = MustCreateList();
+  EXPECT_EQ(api_.ListAdd(list, &folio, true).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(api_.ListMove(list, &folio, true).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(api_.ListDel(&folio).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(api_.ListIdOf(&folio).status().code(),
+            ErrorCode::kInvalidArgument);
+  api_.UnlinkForRemoval(&folio);
+  EXPECT_EQ(*api_.ListSize(list), 0u);
+  // Registering it here resets the node, after which it links normally.
+  ASSERT_TRUE(registry_.Insert(&folio));
+  EXPECT_EQ(*api_.ListIdOf(&folio), 0u);
+  ASSERT_TRUE(api_.ListAdd(list, &folio, true).ok());
+  EXPECT_EQ(*api_.ListIdOf(&folio), list);
+  ASSERT_TRUE(api_.ListDel(&folio).ok());
+  EXPECT_TRUE(registry_.Remove(&folio));
+}
+
 TEST_F(EvictionListTest, AddRejectsBadListId) {
   Folio* folio = NewFolio();
   EXPECT_EQ(api_.ListAdd(9999, folio, true).code(), ErrorCode::kNotFound);

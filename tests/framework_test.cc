@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "src/cache_ext/loader.h"
 #include "src/pagecache/page_cache.h"
 #include "src/policies/classic.h"
+#include "src/util/rng.h"
 
 namespace cache_ext {
 namespace {
@@ -210,6 +212,59 @@ TEST_F(FrameworkTest, AttachIntroducesPreexistingFolios) {
   EXPECT_EQ((*policy)->registry().Size(), 5u);
 }
 
+TEST_F(FrameworkTest, ReattachAfterDetachLeavesNoStaleOwnerTag) {
+  auto lfu = loader_->Attach(cg_, policies::MakeLfuOps());
+  ASSERT_TRUE(lfu.ok());
+  const uint64_t lfu_owner = (*lfu)->registry().id();
+  Lane lane = MakeLane();
+  auto as = pc_->OpenFile("/f");
+  ASSERT_TRUE(as.ok());
+  ASSERT_TRUE(disk_.Truncate((*as)->file(), 128 * kPageSize).ok());
+  TouchPages(lane, *as, 0, 48);  // 3x the 16-page limit: lfu evicts
+  ASSERT_TRUE(loader_->Detach(cg_).ok());
+
+  auto resident_folios = [&] {
+    std::vector<Folio*> out;
+    (*as)->pages().ForEach([&out](uint64_t, XEntry entry) {
+      if (Folio* folio = entry.AsPointer<Folio>(); folio != nullptr) {
+        out.push_back(folio);
+      }
+    });
+    return out;
+  };
+  const std::vector<Folio*> resident = resident_folios();
+  ASSERT_FALSE(resident.empty());
+  for (Folio* folio : resident) {
+    // Detach leaves the departed attachment's tag on the survivors.
+    EXPECT_EQ(folio->ext.owner, lfu_owner);
+  }
+
+  // Re-attach a different policy with those folios still resident.
+  auto fifo = loader_->Attach(cg_, policies::MakeFifoOps());
+  ASSERT_TRUE(fifo.ok());
+  FolioRegistry& registry = (*fifo)->registry();
+  EXPECT_NE(registry.id(), lfu_owner);
+  EXPECT_EQ(registry.Size(), resident.size());
+  EXPECT_EQ(registry.Size(), cg_->charged_pages());
+  for (Folio* folio : resident) {
+    EXPECT_TRUE(registry.Owns(folio));
+    EXPECT_TRUE(registry.Contains(folio));
+  }
+
+  // Evicting the introduced folios goes through fifo's lists alone.
+  const uint64_t fallback_before = pc_->StatsFor(cg_).fallback_evictions;
+  const uint64_t evictions_before = cg_->stat_evictions.load();
+  TouchPages(lane, *as, 64, 48);
+  EXPECT_GT(cg_->stat_evictions.load(), evictions_before);
+  EXPECT_EQ(pc_->StatsFor(cg_).fallback_evictions, fallback_before);
+  const std::vector<Folio*> now_resident = resident_folios();
+  EXPECT_EQ(registry.Size(), now_resident.size());
+  for (Folio* folio : now_resident) {
+    EXPECT_EQ(folio->ext.owner, registry.id());
+    EXPECT_NE(folio->ext.owner, lfu_owner);
+  }
+}
+
 TEST_F(FrameworkTest, EvictionUsesPolicyProposals) {
   // A policy that tracks folios FIFO and proposes them.
   ASSERT_TRUE(loader_->Attach(cg_, policies::MakeFifoOps()).ok());
@@ -288,16 +343,15 @@ TEST_F(FrameworkTest, BreakerDegradesEvictHookOfPersistentOffender) {
   EXPECT_GT(stats.fallback_evictions, 0u);
 }
 
-TEST_F(FrameworkTest, WatchdogDetachesMultiHookOffender) {
-  // Broken on two fronts — garbage eviction candidates AND a folio_added
-  // program that always exhausts its helper budget. Two tripped hooks
-  // escalate to a full watchdog detach (§4.4).
-  Folio decoy;
+// Broken on two fronts — garbage eviction candidates AND a folio_added
+// program that always exhausts its helper budget. Two tripped hooks
+// escalate to a full watchdog detach (§4.4).
+Ops MultiHookOffenderOps(Folio* decoy) {
   Ops ops = MinimalOps("multi_offender");
   ops.helper_budget = 2;
-  ops.evict_folios = [&decoy](CacheExtApi&, EvictionCtx* ctx, MemCgroup*) {
+  ops.evict_folios = [decoy](CacheExtApi&, EvictionCtx* ctx, MemCgroup*) {
     for (int i = 0; i < 8; ++i) {
-      ctx->Propose(&decoy);
+      ctx->Propose(decoy);
     }
   };
   ops.folio_added = [](CacheExtApi& api, Folio*) {
@@ -305,7 +359,12 @@ TEST_F(FrameworkTest, WatchdogDetachesMultiHookOffender) {
       (void)api.ListCreate();  // blows the 2-call budget: program aborts
     }
   };
-  ASSERT_TRUE(loader_->Attach(cg_, std::move(ops)).ok());
+  return ops;
+}
+
+TEST_F(FrameworkTest, WatchdogDetachesMultiHookOffender) {
+  Folio decoy;
+  ASSERT_TRUE(loader_->Attach(cg_, MultiHookOffenderOps(&decoy)).ok());
   Lane lane = MakeLane();
   auto as = pc_->OpenFile("/f");
   ASSERT_TRUE(as.ok());
@@ -320,6 +379,34 @@ TEST_F(FrameworkTest, WatchdogDetachesMultiHookOffender) {
             1u);
   // After the watchdog fires, the base policy drives eviction directly.
   EXPECT_LE(cg_->charged_pages(), cg_->limit_pages());
+}
+
+TEST_F(FrameworkTest, LatchedPolicyStillReleasesRemovedFolios) {
+  // The watchdog latches the offender off mid-run; until it is detached its
+  // registry chain still runs through the folios themselves, so every folio
+  // that leaves the cache must leave the registry too — with no policy code
+  // run for it.
+  Folio decoy;
+  auto policy = loader_->Attach(cg_, MultiHookOffenderOps(&decoy));
+  ASSERT_TRUE(policy.ok());
+  Lane lane = MakeLane();
+  auto as = pc_->OpenFile("/f");
+  ASSERT_TRUE(as.ok());
+  ASSERT_TRUE(disk_.Truncate((*as)->file(), 512 * kPageSize).ok());
+  TouchPages(lane, *as, 0, 256);
+  ASSERT_TRUE(pc_->StatsFor(cg_).ext_detached_by_watchdog);
+  const FolioRegistry& registry = (*policy)->registry();
+  EXPECT_LE(registry.Size(), cg_->charged_pages());
+  const uint64_t invocations_before =
+      (*policy)->HookHealth().invocations[static_cast<size_t>(
+          PolicyHook::kRemoved)];
+  ASSERT_TRUE(
+      pc_->FadviseRange(lane, *as, cg_, Fadvise::kDontNeed, 0, 0).ok());
+  EXPECT_EQ(cg_->charged_pages(), 0u);
+  EXPECT_EQ(registry.Size(), 0u);
+  EXPECT_EQ((*policy)->HookHealth().invocations[static_cast<size_t>(
+                PolicyHook::kRemoved)],
+            invocations_before);
 }
 
 TEST_F(FrameworkTest, ForeignCgroupFolioRejected) {
@@ -391,6 +478,152 @@ TEST_F(FrameworkTest, AdmissionFilterHookConsulted) {
 
 TEST_F(FrameworkTest, AttachToNullCgroupRejected) {
   EXPECT_FALSE(loader_->Attach(nullptr, MinimalOps("x")).ok());
+}
+
+// --- Circuit breaker: count-only success path vs the locked algorithm -------
+
+// The breaker's Record() as it was when every outcome took the mutex: the
+// reference the count-only success path must reproduce exactly.
+class ReferenceBreaker {
+ public:
+  explicit ReferenceBreaker(const CircuitBreakerOptions& options)
+      : options_(options) {}
+
+  bool Record(PolicyHook hook, bool violation) {
+    HookState& st = hooks_[static_cast<uint32_t>(hook)];
+    ++st.window_invocations;
+    ++st.total_invocations;
+    if (violation) {
+      ++st.window_violations;
+      ++st.total_violations;
+    }
+    bool newly_tripped = false;
+    if (!st.tripped && st.window_invocations >= options_.min_samples &&
+        static_cast<double>(st.window_violations) >=
+            options_.trip_rate * static_cast<double>(st.window_invocations)) {
+      st.tripped = true;
+      ++st.trips;
+      newly_tripped = true;
+      degraded_mask_ |= PolicyHookBit(hook);
+    }
+    if (st.window_invocations >= options_.window) {
+      st.window_invocations /= 2;
+      st.window_violations /= 2;
+    }
+    if (!escalated_) {
+      uint32_t tripped_hooks = 0;
+      for (const HookState& h : hooks_) {
+        tripped_hooks += h.tripped ? 1 : 0;
+      }
+      if (tripped_hooks >= options_.hooks_to_detach ||
+          st.total_violations >= options_.hard_violation_limit) {
+        escalated_ = true;
+      }
+    }
+    return newly_tripped;
+  }
+
+  uint32_t degraded_mask() const { return degraded_mask_; }
+  bool escalated() const { return escalated_; }
+
+  PolicyHookHealth Health() const {
+    PolicyHookHealth health;
+    health.degraded_mask = degraded_mask_;
+    health.escalate_detach = escalated_;
+    for (uint32_t i = 0; i < kNumPolicyHooks; ++i) {
+      health.trips[i] = hooks_[i].trips;
+      health.violations[i] = hooks_[i].total_violations;
+      health.invocations[i] = hooks_[i].total_invocations;
+    }
+    return health;
+  }
+
+ private:
+  struct HookState {
+    uint64_t window_invocations = 0;
+    uint64_t window_violations = 0;
+    uint64_t total_invocations = 0;
+    uint64_t total_violations = 0;
+    uint64_t trips = 0;
+    bool tripped = false;
+  };
+
+  CircuitBreakerOptions options_;
+  std::array<HookState, kNumPolicyHooks> hooks_{};
+  uint32_t degraded_mask_ = 0;
+  bool escalated_ = false;
+};
+
+void ExpectSameHealth(const PolicyHookHealth& got,
+                      const PolicyHookHealth& want, uint64_t seq) {
+  EXPECT_EQ(got.degraded_mask, want.degraded_mask) << "sequence " << seq;
+  EXPECT_EQ(got.escalate_detach, want.escalate_detach) << "sequence " << seq;
+  EXPECT_EQ(got.trips, want.trips) << "sequence " << seq;
+  EXPECT_EQ(got.violations, want.violations) << "sequence " << seq;
+  EXPECT_EQ(got.invocations, want.invocations) << "sequence " << seq;
+}
+
+CircuitBreakerOptions RandomBreakerOptions(Rng& rng) {
+  CircuitBreakerOptions options;  // the defaults, a third of the time
+  switch (rng.NextU64Below(3)) {
+    case 0:
+      break;
+    case 1:  // small windows: decay and trips on nearly every sequence
+      options.window = static_cast<uint32_t>(rng.NextU64InRange(1, 8));
+      options.min_samples =
+          static_cast<uint32_t>(rng.NextU64InRange(0, options.window));
+      options.hard_violation_limit = rng.NextU64InRange(4, 64);
+      break;
+    default: {  // anything, including bounds that let a success trip
+      options.window = static_cast<uint32_t>(rng.NextU64InRange(1, 80));
+      options.min_samples = static_cast<uint32_t>(rng.NextU64InRange(0, 20));
+      static constexpr double kRates[] = {0.0, 0.1, 0.5, 0.9, 1.0, 1.5};
+      options.trip_rate = kRates[rng.NextU64Below(6)];
+      options.hooks_to_detach =
+          static_cast<uint32_t>(rng.NextU64InRange(0, 4));
+      options.hard_violation_limit = rng.NextU64InRange(0, 40);
+      break;
+    }
+  }
+  return options;
+}
+
+TEST(HookCircuitBreakerTest, CountOnlySuccessesMatchLockedReference) {
+  Rng rng(0xb4ea4e5);
+  constexpr uint64_t kSequences = 12000;
+  for (uint64_t seq = 0; seq < kSequences; ++seq) {
+    const CircuitBreakerOptions options = RandomBreakerOptions(rng);
+    HookCircuitBreaker breaker(options);
+    ReferenceBreaker reference(options);
+    // Few hooks per sequence so windows fill; a per-sequence violation
+    // rate from clean to mostly failing.
+    const uint32_t nr_hooks =
+        static_cast<uint32_t>(rng.NextU64InRange(1, kNumPolicyHooks));
+    static constexpr double kViolationRates[] = {0.0, 0.01, 0.1, 0.4, 0.8};
+    const double violation_rate = kViolationRates[rng.NextU64Below(5)];
+    const uint64_t length = rng.NextU64InRange(1, 400);
+    for (uint64_t step = 0; step < length; ++step) {
+      const auto hook =
+          static_cast<PolicyHook>(rng.NextU64Below(nr_hooks));
+      const bool violation = rng.NextBool(violation_rate);
+      ASSERT_EQ(breaker.Record(hook, violation),
+                reference.Record(hook, violation))
+          << "sequence " << seq << " step " << step;
+      ASSERT_EQ(breaker.degraded_mask(), reference.degraded_mask())
+          << "sequence " << seq << " step " << step;
+      ASSERT_EQ(breaker.escalated(), reference.escalated())
+          << "sequence " << seq << " step " << step;
+      if (rng.NextBool(0.02)) {
+        // A mid-sequence read folds the pending counts early; the outcome
+        // stream after it must not change.
+        ExpectSameHealth(breaker.Health(), reference.Health(), seq);
+      }
+    }
+    ExpectSameHealth(breaker.Health(), reference.Health(), seq);
+    if (::testing::Test::HasFailure()) {
+      break;
+    }
+  }
 }
 
 }  // namespace

@@ -373,19 +373,27 @@ class IrDiffTest : public ::testing::Test {
         registry_b_(64),
         api_a_(&registry_a_),
         api_b_(&registry_b_) {
+    // A folio is registered with one registry at a time (its list node
+    // lives in the folio), so each backend gets its own identically shaped
+    // folio set: same mapping and index, hence the same identity keys.
     for (int i = 0; i < 4; ++i) {
-      folios_.push_back(std::make_unique<Folio>());
-      Folio* folio = folios_.back().get();
-      folio->mapping = &mapping_;
-      folio->index = static_cast<uint64_t>(i) * 17;
-      registry_a_.Insert(folio);
-      registry_b_.Insert(folio);
+      folios_a_.push_back(MakeFolio(i));
+      folios_b_.push_back(MakeFolio(i));
+      registry_a_.Insert(folios_a_.back().get());
+      registry_b_.Insert(folios_b_.back().get());
     }
     // List id 1 exists on both sides so generated list kfuncs can succeed.
     auto la = api_a_.ListCreate();
     auto lb = api_b_.ListCreate();
     EXPECT_TRUE(la.ok() && lb.ok());
     EXPECT_EQ(*la, *lb);
+  }
+
+  std::unique_ptr<Folio> MakeFolio(int i) {
+    auto folio = std::make_unique<Folio>();
+    folio->mapping = &mapping_;
+    folio->index = static_cast<uint64_t>(i) * 17;
+    return folio;
   }
 
   // Drives `pair` with identical HookCtx streams through both backends and
@@ -406,9 +414,9 @@ class IrDiffTest : public ::testing::Test {
         ha.admit = &admit;
         hb.admit = &admit;
       } else {
-        Folio* folio = folios_[rng.U(0, folios_.size() - 1)].get();
-        ha.folio = folio;
-        hb.folio = folio;
+        const size_t k = rng.U(0, folios_a_.size() - 1);
+        ha.folio = folios_a_[k].get();
+        hb.folio = folios_b_[k].get();
       }
       const InvokeResult ra =
           Invoke(pair.oracle.get(), nullptr, hook, api_a_, ha, budget);
@@ -427,7 +435,8 @@ class IrDiffTest : public ::testing::Test {
   FolioRegistry registry_b_;
   CacheExtApi api_a_;
   CacheExtApi api_b_;
-  std::vector<std::unique_ptr<Folio>> folios_;
+  std::vector<std::unique_ptr<Folio>> folios_a_;
+  std::vector<std::unique_ptr<Folio>> folios_b_;
 };
 
 // --- the randomized differential run ------------------------------------
@@ -493,13 +502,15 @@ TEST_F(IrDiffTest, BuiltinPoliciesAgreeAcrossBackends) {
                                        Hook::kFolioRemoved};
     for (int round = 0; round < 6; ++round) {
       for (const Hook hook : kEvents) {
-        Folio* folio = folios_[rng.U(0, folios_.size() - 1)].get();
-        HookCtx hctx;
-        hctx.folio = folio;
+        const size_t k = rng.U(0, folios_a_.size() - 1);
+        HookCtx ha;
+        HookCtx hb;
+        ha.folio = folios_a_[k].get();
+        hb.folio = folios_b_[k].get();
         const InvokeResult ra =
-            Invoke(pair.oracle.get(), nullptr, hook, api_a_, hctx, 1u << 16);
+            Invoke(pair.oracle.get(), nullptr, hook, api_a_, ha, 1u << 16);
         const InvokeResult rb =
-            Invoke(nullptr, pair.jit.get(), hook, api_b_, hctx, 1u << 16);
+            Invoke(nullptr, pair.jit.get(), hook, api_b_, hb, 1u << 16);
         // Folio hooks can leave a map-value pointer in r0 (ir_lfu's
         // accessed program exits with the lookup result); pointers differ
         // across runtimes by construction, so only charges are compared.

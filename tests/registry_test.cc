@@ -2,12 +2,38 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <thread>
 #include <vector>
 
+#include "src/cache_ext/framework.h"
 #include "src/cache_ext/registry.h"
+#include "src/cgroup/memcg.h"
 #include "src/util/rng.h"
+
+// Counts every global operator new in this test binary, so a test can
+// assert that a code path makes no heap allocation.
+namespace {
+std::atomic<uint64_t> g_heap_allocations{0};
+}  // namespace
+
+// All out of line, so GCC never pairs an inlined malloc() or free() with
+// the operator at the other end (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace cache_ext {
 namespace {
@@ -55,9 +81,65 @@ TEST(RegistryTest, FindReturnsNodeWithBackPointer) {
   registry.Insert(&folio);
   ExtListNode* node = registry.Find(&folio);
   ASSERT_NE(node, nullptr);
+  EXPECT_EQ(node, &folio.ext.node);
   EXPECT_EQ(node->folio, &folio);
   EXPECT_FALSE(node->OnList());
-  EXPECT_EQ(registry.Find(reinterpret_cast<Folio*>(0x123)), nullptr);
+  EXPECT_EQ(registry.Find(nullptr), nullptr);
+  // Find trusts its argument; a garbage pointer is the untrusted checks'
+  // job, and neither dereferences it.
+  Folio* garbage = reinterpret_cast<Folio*>(0x123);
+  EXPECT_FALSE(registry.Contains(garbage));
+  MemCgroup cg(/*id=*/1, "registry", /*limit_pages=*/64);
+  Ops ops;
+  ops.name = "validate";
+  CacheExtPolicy policy(std::move(ops), &cg, CpuCostModel{});
+  EXPECT_FALSE(policy.ValidateCandidate(garbage));
+}
+
+TEST(RegistryTest, OwnerTagIsPerRegistryAndNeverReused) {
+  Folio folio;
+  auto first = std::make_unique<FolioRegistry>(64);
+  const uint64_t first_id = first->id();
+  ASSERT_TRUE(first->Insert(&folio));
+  EXPECT_TRUE(first->Owns(&folio));
+  EXPECT_EQ(folio.ext.owner, first_id);
+  // Dropped without removing the folio, as at detach: the next registry
+  // (possibly at the same address) must not recognise the stale tag.
+  first.reset();
+  auto second = std::make_unique<FolioRegistry>(64);
+  EXPECT_NE(second->id(), first_id);
+  EXPECT_NE(second->id(), 0u);
+  EXPECT_FALSE(second->Owns(&folio));
+  EXPECT_EQ(second->Find(&folio), nullptr);
+  EXPECT_FALSE(second->Contains(&folio));
+  EXPECT_FALSE(second->Remove(&folio));
+  ASSERT_TRUE(second->Insert(&folio));
+  EXPECT_TRUE(second->Owns(&folio));
+  EXPECT_TRUE(second->Contains(&folio));
+  EXPECT_TRUE(second->Remove(&folio));
+  EXPECT_EQ(folio.ext.owner, 0u);
+}
+
+TEST(RegistryTest, InsertRemoveMakeNoHeapAllocation) {
+  FolioRegistry registry(16);  // small: chains of several folios
+  std::vector<std::unique_ptr<Folio>> folios;
+  for (int i = 0; i < 256; ++i) {
+    folios.push_back(std::make_unique<Folio>());
+  }
+  const uint64_t before = g_heap_allocations.load();
+  for (int round = 0; round < 3; ++round) {
+    for (auto& folio : folios) {
+      ASSERT_TRUE(registry.Insert(folio.get()));
+    }
+    ASSERT_EQ(registry.Size(), folios.size());
+    // Remove in an order unrelated to the chain order, so unlinks hit the
+    // middle of chains too.
+    for (size_t i = 0; i < folios.size(); ++i) {
+      ASSERT_TRUE(registry.Remove(folios[(i * 97) % folios.size()].get()));
+    }
+  }
+  EXPECT_EQ(g_heap_allocations.load(), before);
+  EXPECT_EQ(registry.Size(), 0u);
 }
 
 TEST(RegistryTest, SingleBucketDegenerateCase) {
