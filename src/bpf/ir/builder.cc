@@ -200,11 +200,6 @@ ProgramBuilder& ProgramBuilder::BeginIterateReg(Reg list, Reg bound,
   return BeginLoop(Op::kLoopIterate, list, true, bound, 0, opts);
 }
 
-ProgramBuilder& ProgramBuilder::BeginIterateScoreReg(Reg list, Reg bound,
-                                                     LoopOpts opts) {
-  return BeginLoop(Op::kLoopIterateScore, list, true, bound, 0, opts);
-}
-
 ProgramBuilder& ProgramBuilder::EndIterate() {
   CHECK(!open_loops_.empty());  // EndIterate without BeginIterate
   const size_t header = open_loops_.back();

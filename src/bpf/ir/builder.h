@@ -61,8 +61,6 @@ class ProgramBuilder {
                                     LoopOpts opts = LoopOpts());
   // ...or from a register whose range the verifier must prove finite.
   ProgramBuilder& BeginIterateReg(Reg list, Reg bound, LoopOpts opts = LoopOpts());
-  ProgramBuilder& BeginIterateScoreReg(Reg list, Reg bound,
-                                       LoopOpts opts = LoopOpts());
   ProgramBuilder& EndIterate();
 
   // Patch labels and return the program. CHECK-fails on unbound labels or

@@ -40,8 +40,7 @@ void SetDefaultBackend(Backend backend) {
 }
 
 Expected<cache_ext::Ops> CompileToOps(const IrPolicy& policy,
-                                      verifier::VerifierLog* log,
-                                      const CompileOptions& opts) {
+                                      verifier::VerifierLog* log) {
   verifier::VerifierLog local_log;
   verifier::VerifierLog* out = log != nullptr ? log : &local_log;
   auto analysis = verifier::AnalyzeIrPolicy(policy, out);
@@ -51,8 +50,7 @@ Expected<cache_ext::Ops> CompileToOps(const IrPolicy& policy,
 
   ExecHandle exec;
   exec.interp = std::make_shared<IrRuntime>(policy);
-  const Backend backend = opts.backend.value_or(DefaultBackend());
-  if (backend == Backend::kJit) {
+  if (DefaultBackend() == Backend::kJit) {
     exec.jit = std::make_shared<jit::JitRuntime>(exec.interp, *analysis);
   }
   const IrPolicy& prog = exec.interp->policy();

@@ -19,8 +19,6 @@
 #ifndef SRC_BPF_IR_COMPILE_H_
 #define SRC_BPF_IR_COMPILE_H_
 
-#include <optional>
-
 #include "src/bpf/ir/ir.h"
 #include "src/bpf/verifier/log.h"
 #include "src/cache_ext/ops.h"
@@ -38,20 +36,14 @@ enum class Backend : uint8_t {
 Backend DefaultBackend();
 void SetDefaultBackend(Backend backend);
 
-struct CompileOptions {
-  // Backend for this compilation; unset uses DefaultBackend().
-  std::optional<Backend> backend;
-};
-
 // Runs the IR static analysis (AnalyzeIrPolicy) and, on success, builds the
 // Ops: backend-dispatched hook closures, the derived ProgramSpec, the
 // policy's helper budget and cost declaration, and ops.ir pointing at the
 // verified program (so CacheExtLoader re-derives and cross-checks the spec
-// at attach time). `log` (optional) receives the analysis findings either
-// way.
+// at attach time). The hooks run on DefaultBackend() as of this call.
+// `log` (optional) receives the analysis findings either way.
 Expected<cache_ext::Ops> CompileToOps(const IrPolicy& policy,
-                                      verifier::VerifierLog* log = nullptr,
-                                      const CompileOptions& opts = {});
+                                      verifier::VerifierLog* log = nullptr);
 
 }  // namespace cache_ext::bpf::ir
 

@@ -16,7 +16,7 @@ using verifier::Hook;
 
 // Map-value words are shared with concurrent invocations (and with the
 // lock-free JIT steps), so all loads/stores through value pointers go
-// through atomic_ref — same discipline as bpf::ArrayMap.
+// through atomic_ref, as kernel array-map values are when programs race.
 inline uint64_t ValueLoad(const uint64_t* p) {
   return std::atomic_ref<const uint64_t>(*p).load(std::memory_order_relaxed);
 }

@@ -1,10 +1,10 @@
 // Sharded map storage for IR policies: u64 keys, fixed-size values of
 // value_size bytes accessed as u64 words. This replaces the runtime-wide
 // interpreter mutex with the same concurrency story as the hand-written
-// policies' bpf::HashMap/ArrayMap (src/bpf/map.h):
+// policies' bpf::HashMap (src/bpf/map.h):
 //
 //  - Array maps are dense, preallocated, and lock-free; value words are
-//    accessed through std::atomic_ref (relaxed), matching ArrayMap.
+//    accessed through std::atomic_ref (relaxed).
 //  - Hash maps are sharded (detail::ShardCountFor shards, MixHash
 //    distribution) with a global atomic size enforcing max_entries
 //    exactly via the reserve/rollback idiom. Lookups are LOCK-FREE: each

@@ -1,4 +1,4 @@
-// eBPF map equivalents: BPF_MAP_TYPE_HASH and BPF_MAP_TYPE_ARRAY.
+// eBPF map equivalent: BPF_MAP_TYPE_HASH.
 //
 // Policies in this reproduction are written against the same constrained
 // interface their eBPF counterparts use (§4.2.4): maps have a fixed
@@ -11,9 +11,7 @@
 // with its own mutex, mirroring the kernel's per-bucket raw_spin_lock in
 // kernel/bpf/hashtab.c. max_entries stays an exact global bound (the kernel
 // tracks this with a percpu elem counter; we use one atomic with
-// reserve/rollback). ArrayMap is lock-free: the value array is preallocated
-// and never moves, and Read/Store/FetchAdd use std::atomic_ref so concurrent
-// lanes race benignly, like kernel array maps.
+// reserve/rollback).
 
 #ifndef SRC_BPF_MAP_H_
 #define SRC_BPF_MAP_H_
@@ -21,7 +19,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -191,71 +188,6 @@ class HashMap {
   // max_entries keeps kernel -E2BIG semantics under concurrency.
   std::atomic<uint32_t> size_{0};
   std::vector<Shard> shards_;
-};
-
-// BPF_MAP_TYPE_ARRAY: fixed-size array of values, indexed by u32. Lookups of
-// out-of-range indices fail (return nullptr), as in the kernel. The backing
-// store is preallocated and never reallocates, so Lookup pointers stay valid
-// for the map's lifetime; Read/Store/FetchAdd give lock-free atomic access
-// for trivially copyable V (kernel array-map values are plain memory that
-// programs access with atomic ops when they race).
-template <typename V>
-class ArrayMap {
- public:
-  explicit ArrayMap(uint32_t max_entries)
-      : values_(max_entries) {
-    CHECK_GT(max_entries, 0u);
-  }
-
-  V* Lookup(uint32_t index) {
-    return index < values_.size() ? &values_[index] : nullptr;
-  }
-  const V* Lookup(uint32_t index) const {
-    return index < values_.size() ? &values_[index] : nullptr;
-  }
-
-  bool Update(uint32_t index, const V& value) {
-    if (index >= values_.size()) {
-      return false;
-    }
-    if constexpr (std::is_trivially_copyable_v<V>) {
-      std::atomic_ref<V>(values_[index]).store(value,
-                                               std::memory_order_relaxed);
-    } else {
-      values_[index] = value;
-    }
-    return true;
-  }
-
-  // Lock-free atomic read; returns false for out-of-range indices.
-  bool Read(uint32_t index, V* out) const {
-    static_assert(std::is_trivially_copyable_v<V>,
-                  "atomic ArrayMap::Read requires trivially copyable V");
-    if (index >= values_.size()) {
-      return false;
-    }
-    *out = std::atomic_ref<V>(values_[index]).load(std::memory_order_relaxed);
-    return true;
-  }
-
-  // Lock-free atomic add for counter-style values (e.g. per-tier hit
-  // counters); returns the previous value, or 0 for out-of-range indices.
-  template <typename U = V,
-            typename = std::enable_if_t<std::is_integral_v<U>>>
-  V FetchAdd(uint32_t index, V delta) {
-    if (index >= values_.size()) {
-      return V{};
-    }
-    return std::atomic_ref<V>(values_[index])
-        .fetch_add(delta, std::memory_order_relaxed);
-  }
-
-  uint32_t max_entries() const {
-    return static_cast<uint32_t>(values_.size());
-  }
-
- private:
-  mutable std::vector<V> values_;
 };
 
 }  // namespace cache_ext::bpf

@@ -186,7 +186,7 @@ struct HookSpec {
 // both paths) AND proves the declared slot demand fits the per-folio
 // slot array.
 enum class MapKind : uint8_t {
-  kHash = 0,          // bpf::HashMap / bpf::LruHashMap / ArrayMap / RingBuf
+  kHash = 0,          // bpf::HashMap / bpf::LruHashMap / RingBuf
   kFolioLocalStorage, // bpf::FolioLocalStorage
 };
 

@@ -46,8 +46,9 @@ struct CircuitBreakerOptions {
   // Tripped hooks that escalate to a full detach.
   uint32_t hooks_to_detach = 2;
   // Lifetime violations on any single hook that escalate even without a
-  // second trip ("the violation rate stays high").
-  uint64_t hard_violation_limit = 512;
+  // second trip: a sporadic offender whose rate never trips the hook is
+  // still detached once it has done this much damage.
+  uint64_t hard_violation_limit = 128;
 };
 
 class HookCircuitBreaker {

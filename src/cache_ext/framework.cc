@@ -24,7 +24,7 @@ CacheExtPolicy::CacheExtPolicy(Ops ops, MemCgroup* cg,
       api_(&registry_),
       per_event_cost_ns_(costs.hook_dispatch_ns + costs.registry_op_ns +
                          ops_.program_cost_ns),
-      breaker_(ops_.breaker) {}
+      breaker_(CircuitBreakerOptions{}) {}
 
 template <typename Fn>
 void CacheExtPolicy::RunProgram(PolicyHook hook, Fn&& fn) {
@@ -231,8 +231,10 @@ bool CacheExtPolicy::ValidateCandidate(Folio* folio) {
   const bool valid = registry_.Contains(folio);
   if (!valid) {
     // An invalid candidate is an eviction-hook violation: it feeds the same
-    // breaker as a program abort, so a policy spewing garbage pointers
-    // degrades its evict hook before the global watchdog limit is reached.
+    // breaker as a program abort. A policy spewing garbage pointers trips
+    // its evict hook on rate; one that offends too rarely to trip is
+    // detached at the breaker's lifetime limit (hard_violation_limit), the
+    // only violation budget there is.
     if (breaker_.Record(PolicyHook::kEvict, true)) {
       LOG_WARNING << "cache_ext breaker: policy '" << ops_.name
                   << "' evict hook tripped on invalid candidates";

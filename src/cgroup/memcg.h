@@ -49,8 +49,6 @@ class MemCgroup {
   uint64_t charged_pages() const {
     return charged_pages_.load(std::memory_order_relaxed);
   }
-  void ChargePage() { ChargePages(1); }
-  void UnchargePage() { UnchargePages(1); }
   // Multi-order folios charge their whole span in one step, like the
   // kernel's folio_nr_pages charging.
   void ChargePages(uint64_t nr) {

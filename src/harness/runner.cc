@@ -114,7 +114,7 @@ Expected<RunResult> RunKvWorkload(lsm::LsmDb* db, MemCgroup* cg,
     --next->remaining;
 
     if (options.agent != nullptr &&
-        ++ops_since_poll >= options.agent_poll_interval) {
+        ++ops_since_poll >= kAgentPollInterval) {
       options.agent->Poll();
       ops_since_poll = 0;
     }
@@ -347,7 +347,7 @@ Expected<IsolationResult> RunIsolationWorkload(
       CACHE_EXT_RETURN_IF_ERROR(status);
       ++kv_ops;
     }
-    if (++ops_since_poll >= options.agent_poll_interval) {
+    if (++ops_since_poll >= kAgentPollInterval) {
       ops_since_poll = 0;
       if (options.kv_agent != nullptr) {
         options.kv_agent->Poll();

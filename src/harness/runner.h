@@ -45,9 +45,10 @@ struct LaneSpec {
   uint64_t ops = 0;  // ops this lane executes
 };
 
+// Completed ops between polls of the policies' userspace agents.
+inline constexpr uint64_t kAgentPollInterval = 2048;
+
 struct KvRunnerOptions {
-  // Poll the policy's userspace agent every this many completed ops.
-  uint64_t agent_poll_interval = 2048;
   std::shared_ptr<policies::UserspaceAgent> agent;
   // Lanes start at this virtual time (pass the SSD frontier when reusing a
   // device across runs); measured duration excludes it.
@@ -128,7 +129,6 @@ struct IsolationOptions {
   int search_lanes = 4;
   std::shared_ptr<policies::UserspaceAgent> kv_agent;
   std::shared_ptr<policies::UserspaceAgent> search_agent;
-  uint64_t agent_poll_interval = 2048;
 };
 
 struct IsolationResult {

@@ -116,8 +116,7 @@ LsmDb::LsmDb(PageCache* pc, MemCgroup* cg, std::string name, DbOptions options)
       options_(options),
       levels_(static_cast<size_t>(options.num_levels)),
       compaction_lane_(/*id=*/0xC0117AC7,
-                       TaskContext{options.compaction_pid,
-                                   options.compaction_tid},
+                       TaskContext{kCompactionPid, kCompactionTid},
                        /*seed=*/0x5eed) {}
 
 LsmDb::~LsmDb() = default;
@@ -327,7 +326,7 @@ Status LsmDb::MaybeCompact(Lane& trigger_lane) {
 
   int rounds = 0;
   while (rounds++ < 8) {
-    if (NumFilesAtLevel(0) >= options_.l0_compaction_trigger) {
+    if (NumFilesAtLevel(0) >= kL0CompactionTrigger) {
       CACHE_EXT_RETURN_IF_ERROR(CompactLevel(0));
       continue;
     }

@@ -35,16 +35,18 @@ namespace cache_ext::lsm {
 struct DbOptions {
   uint64_t memtable_bytes = 4 << 20;       // flush threshold
   uint64_t target_file_bytes = 2 << 20;    // max SSTable size from compaction
-  int l0_compaction_trigger = 4;           // L0 files before compacting
   uint64_t level_base_bytes = 16 << 20;    // L1 size budget; x10 per level
   int num_levels = 5;
-  // TID assigned to the compaction lane (visible to admission filters).
-  int32_t compaction_tid = 9000;
-  int32_t compaction_pid = 9000;
   // CPU cost charged per DB operation (key comparison, memtable walk),
   // applied even when the op never reaches the page cache.
   uint64_t op_cpu_ns = 700;
 };
+
+// L0 files before compacting.
+inline constexpr int kL0CompactionTrigger = 4;
+// PID/TID of the compaction lane (visible to admission filters).
+inline constexpr int32_t kCompactionPid = 9000;
+inline constexpr int32_t kCompactionTid = 9000;
 
 class LsmDb {
  public:
@@ -73,7 +75,7 @@ class LsmDb {
   // Force-flush the memtable (e.g. at the end of a load phase).
   Status Flush(Lane& lane);
 
-  int32_t compaction_tid() const { return options_.compaction_tid; }
+  int32_t compaction_tid() const { return kCompactionTid; }
   uint64_t compactions_run() const { return compactions_run_; }
   int NumFilesAtLevel(int level) const;
   uint64_t TotalDataBytes() const;

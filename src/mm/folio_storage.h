@@ -97,9 +97,6 @@ class FolioStorageDirectory {
   uint32_t SlotsInUse() const {
     return slots_in_use_.load(std::memory_order_relaxed);
   }
-  uint32_t FallbackOwners() const {
-    return nr_fallbacks_.load(std::memory_order_relaxed);
-  }
 
  private:
   FolioStorageDirectory() = default;

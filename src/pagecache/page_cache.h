@@ -99,9 +99,6 @@ class PageCacheTracer {
 
 struct PageCacheOptions {
   CpuCostModel costs;
-  // An attached ext policy is forcibly unloaded after this many invalid
-  // eviction candidates (the watchdog of §4.4).
-  uint64_t watchdog_violation_limit = 128;
   // Readahead cap in pages (doubled by FADV_SEQUENTIAL).
   uint32_t max_readahead_pages = 8;
   // Background reclaim (src/reclaim): watermark-paced reclaimer lanes, the
@@ -182,7 +179,6 @@ class PageCache {
 
   MemCgroup* CreateCgroup(std::string_view name, uint64_t limit_bytes,
                           BasePolicyKind base = BasePolicyKind::kDefaultLru);
-  MemCgroup* FindCgroup(std::string_view name);
 
   // Opens `name` on the disk (creating it if absent) and returns its
   // address space. Address spaces are process-global, like the kernel's.
@@ -202,7 +198,6 @@ class PageCache {
   // StatsFor(cg) next to the watchdog counters it reacts to.
   void SetQuarantineInfo(MemCgroup* cg, bool quarantined, bool banned,
                          uint32_t reattach_attempts);
-  ReclaimPolicy* base_policy(MemCgroup* cg);
 
   void SetTracer(PageCacheTracer* tracer) { tracer_ = tracer; }
 
@@ -316,8 +311,12 @@ class PageCache {
   // the watchdog flagged it — EVERY dispatch site must check this, so a
   // "detached" policy's programs never run and its per-event cost is never
   // charged — and latches the flag when the policy's own circuit breaker
-  // escalates (multiple hooks tripped / persistently high violation rate).
+  // escalates (multiple hooks tripped / too many violations on one hook).
   bool ExtActive(CgroupState& st) CACHE_EXT_REQUIRES(st.mu);
+  // The watchdog latch (§4.4): logs `why`, stops every dispatch site from
+  // consulting the policy, and leaves the unload to the policy manager.
+  void LatchWatchdog(CgroupState& st, const std::string& why)
+      CACHE_EXT_REQUIRES(st.mu);
 
   // --- Batched hook dispatch ---------------------------------------------
   //
@@ -455,19 +454,9 @@ class PageCache {
   // files (consulting the policy's should_writeback / writeback_order
   // hooks), coalesce them into contiguous per-file extents, and submit each
   // extent on the flusher's own virtual lane. `now_hint_ns` pins the
-  // flusher clock forward to the waker's (0 = none, pool threads).
+  // flusher clock forward to the waker's.
   void FlushTick(CgroupState& st, DispatchBatch* batch, uint64_t now_hint_ns)
       CACHE_EXT_REQUIRES(st.mu);
-
-  // Wake the cgroup's flusher: async condvar kick in threaded mode, a
-  // synchronous virtual-lane tick otherwise (cost lands on the flusher's
-  // clock, not the dirtying writer's).
-  void KickFlusher(Lane& lane, CgroupState& st, DispatchBatch* batch)
-      CACHE_EXT_REQUIRES(st.mu);
-
-  // Flusher pool callback: dirty-check the cgroup without its lock, then
-  // lock and tick.
-  void FlushTickForToken(void* token);
 
   // Readahead: called on a miss at `index`; returns how many extra pages to
   // prefetch after `last_requested`. Consults the ext policy's readahead
@@ -521,11 +510,6 @@ class PageCache {
   // single-threaded simulators. Stopped in ~PageCache before
   // ebr::Synchronize() and policy teardown.
   std::unique_ptr<reclaim::ReclaimerPool> reclaimer_pool_;
-  // Real flusher threads (options_.writeback.use_threads); reuses the
-  // reclaim pool machinery (threads + condvar kick + poll backstop are
-  // identical — only the tick callback differs). Null in the
-  // single-threaded simulators.
-  std::unique_ptr<reclaim::ReclaimerPool> flusher_pool_;
 };
 
 }  // namespace cache_ext

@@ -139,7 +139,7 @@ void PolicyManager::Quarantine(MemCgroup* cg, Attachment attachment) {
                "; permanently banned");
   } else {
     const uint32_t backoff =
-        std::min(options_.quarantine_backoff_cap,
+        std::min(kQuarantineBackoffCap,
                  options_.quarantine_backoff_initial << (strikes - 1));
     quarantine_[cg] = QuarantineEntry{attachment.policy_name,
                                       attachment.params, backoff, backoff,
@@ -153,7 +153,7 @@ void PolicyManager::Quarantine(MemCgroup* cg, Attachment attachment) {
 }
 
 bool PolicyManager::TickQuarantine(MemCgroup* cg, QuarantineEntry& entry) {
-  if (entry.banned || !options_.reattach_after_quarantine) {
+  if (entry.banned) {
     return false;
   }
   if (entry.polls_remaining > 1) {
@@ -186,7 +186,7 @@ bool PolicyManager::TickQuarantine(MemCgroup* cg, QuarantineEntry& entry) {
   }
   // Re-attach failed: double the backoff (capped) and try again later.
   entry.backoff_polls =
-      std::min(options_.quarantine_backoff_cap,
+      std::min(kQuarantineBackoffCap,
                std::max<uint32_t>(1, entry.backoff_polls * 2));
   entry.polls_remaining = entry.backoff_polls;
   Record(EventKind::kReattachFailed, cg, entry.policy_name,
@@ -211,8 +211,7 @@ void PolicyManager::Poll() {
     if (attachment.agent != nullptr) {
       attachment.agent->Poll();
     }
-    if (options_.revert_on_watchdog &&
-        page_cache_->StatsFor(cg).ext_detached_by_watchdog) {
+    if (page_cache_->StatsFor(cg).ext_detached_by_watchdog) {
       // The kernel watchdog stopped consulting the policy; finish the job:
       // unload it so the cgroup runs the default policy cleanly.
       (void)loader_.Detach(cg);

@@ -37,21 +37,20 @@ struct PolicyManagerOptions {
   std::set<std::string> allowlist;
   // Maximum concurrently attached policies across all cgroups.
   size_t max_attached = 64;
-  // On watchdog detach, remove the broken policy so the cgroup reverts
-  // cleanly to the default (and record the event).
-  bool revert_on_watchdog = true;
   // Audit-log ring capacity; older events are dropped (and counted) once the
   // log is full, so a flapping policy cannot grow the manager unboundedly.
   size_t audit_capacity = 1024;
   // Quarantine: after a watchdog revert the (cgroup, policy) pair waits
-  // `initial << (strike-1)` poll cycles (capped) before a re-attach attempt;
-  // after `strike_limit` watchdog trips the pair is banned permanently
-  // (until a manual Request overrides it for a different policy).
-  bool reattach_after_quarantine = true;
+  // `initial << (strike-1)` poll cycles (capped at kQuarantineBackoffCap)
+  // before a re-attach attempt; after `strike_limit` watchdog trips the
+  // pair is banned permanently (until a manual Request overrides it for a
+  // different policy).
   uint32_t quarantine_backoff_initial = 1;
-  uint32_t quarantine_backoff_cap = 16;
   uint32_t quarantine_strike_limit = 3;
 };
+
+// Longest quarantine backoff, in poll cycles.
+inline constexpr uint32_t kQuarantineBackoffCap = 16;
 
 class PolicyManager {
  public:

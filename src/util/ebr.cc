@@ -240,7 +240,6 @@ void Synchronize() {
 
 uint64_t RetiredCount() { return Domain::Get().retired_count(); }
 uint64_t FreedCount() { return Domain::Get().freed_count(); }
-uint64_t GlobalEpoch() { return Domain::Get().Epoch(); }
 size_t ActiveReaders() { return Domain::Get().ActiveReaders(); }
 
 }  // namespace cache_ext::ebr

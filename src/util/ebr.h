@@ -78,7 +78,6 @@ void Synchronize();
 uint64_t RetiredCount();
 // Objects freed since process start.
 uint64_t FreedCount();
-uint64_t GlobalEpoch();
 // Threads currently inside a Guard (includes an active phantom reader).
 size_t ActiveReaders();
 

@@ -76,9 +76,6 @@ inline Status ResourceExhausted(std::string msg) {
 inline Status FailedPrecondition(std::string msg) {
   return Status(ErrorCode::kFailedPrecondition, std::move(msg));
 }
-inline Status Unavailable(std::string msg) {
-  return Status(ErrorCode::kUnavailable, std::move(msg));
-}
 inline Status PermissionDenied(std::string msg) {
   return Status(ErrorCode::kPermissionDenied, std::move(msg));
 }

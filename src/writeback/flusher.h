@@ -23,9 +23,9 @@
 //    contiguous same-file runs into extents so one SubmitWrite covers a
 //    whole run (the block layer's request merging).
 //
-//  - The MT harness reuses reclaim::ReclaimerPool for real flusher threads;
-//    single-threaded simulators tick the lane synchronously at dirtying
-//    sites, which models an always-prompt flusher on its own clock.
+//  - There are no flusher threads: the page cache ticks the flusher lane
+//    synchronously at dirtying sites, which models an always-prompt flusher
+//    on its own clock.
 //
 // Fault points `writeback.stall`, `writeback.lost_wakeup` and
 // `writeback.partial_flush` (armed by the chaos suite) wedge a lane, drop a
@@ -57,17 +57,6 @@ struct WritebackOptions {
   // folios are only written back by fsync or at eviction time, inline on
   // the acting lane.
   bool background = false;
-  // Real flusher threads (MT harness). False = virtual lanes: the flusher
-  // is ticked synchronously at dirtying sites in the single-threaded
-  // simulators, charging its work to its own virtual clock.
-  bool use_threads = false;
-  uint32_t nr_threads = 1;
-  // Thread poll period (microseconds of wall time) when no kick arrives —
-  // the backstop that keeps a cgroup draining after a lost wakeup.
-  uint32_t thread_poll_us = 200;
-  // Rounds a single Write may be throttled before it proceeds anyway —
-  // bounds writer latency when the device simply cannot keep up.
-  uint32_t max_throttle_rounds = 16;
 };
 
 // Dirty pages one flush tick may harvest before yielding (the analogue of
@@ -78,6 +67,9 @@ inline constexpr uint32_t kMaxExtentPages = 256;
 // Nanoseconds a throttled writer stalls per balance_dirty_pages round
 // before re-checking the gauge (kernel: ~one pause() of HZ/5 scaled).
 inline constexpr uint64_t kThrottlePauseNs = 200 * 1000;
+// Rounds a single Write may be throttled before it proceeds anyway —
+// bounds writer latency when the device simply cannot keep up.
+inline constexpr uint32_t kMaxThrottleRounds = 16;
 
 // Outcome of a tick attempt, decided before any harvest work.
 enum class FlushTickOutcome : uint8_t {

@@ -103,25 +103,6 @@ TEST(BpfHashMapTest, ConcurrentMixedOps) {
   EXPECT_LE(map.Size(), 1024u);
 }
 
-// --- ArrayMap ----------------------------------------------------------------
-
-TEST(BpfArrayMapTest, BoundsChecked) {
-  ArrayMap<int> map(4);
-  EXPECT_NE(map.Lookup(0), nullptr);
-  EXPECT_NE(map.Lookup(3), nullptr);
-  EXPECT_EQ(map.Lookup(4), nullptr);  // out of range fails, like the kernel
-  EXPECT_TRUE(map.Update(2, 42));
-  EXPECT_FALSE(map.Update(4, 42));
-  EXPECT_EQ(*map.Lookup(2), 42);
-}
-
-TEST(BpfArrayMapTest, ZeroInitialized) {
-  ArrayMap<int> map(4);
-  for (uint32_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(*map.Lookup(i), 0);
-  }
-}
-
 // --- LruHashMap --------------------------------------------------------------
 
 TEST(BpfLruHashMapTest, BasicOps) {

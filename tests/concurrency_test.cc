@@ -213,36 +213,6 @@ TEST(ConcurrencyTest, LruHashMapShardedEvictionUnderContention) {
   }
 }
 
-TEST(ConcurrencyTest, ArrayMapCountersAreLockFreeAndExact) {
-  constexpr uint32_t kSlots = 64;
-  constexpr int kThreads = 4;
-  constexpr uint64_t kAddsPerThread = 10000;
-  bpf::ArrayMap<uint64_t> map(kSlots);
-
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&map, t] {
-      uint64_t state = 0x9e3779b97f4a7c15ULL + static_cast<uint64_t>(t);
-      for (uint64_t i = 0; i < kAddsPerThread; ++i) {
-        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-        map.FetchAdd(static_cast<uint32_t>(state >> 33) % kSlots, 1);
-        uint64_t snap = 0;
-        EXPECT_TRUE(map.Read(static_cast<uint32_t>(state >> 11) % kSlots,
-                             &snap));
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-
-  uint64_t total = 0;
-  for (uint32_t i = 0; i < kSlots; ++i) {
-    uint64_t v = 0;
-    ASSERT_TRUE(map.Read(i, &v));
-    total += v;
-  }
-  EXPECT_EQ(total, static_cast<uint64_t>(kThreads) * kAddsPerThread);
-}
-
 // --- page cache ------------------------------------------------------------
 
 constexpr uint64_t kFilePages = 128;
@@ -691,10 +661,11 @@ void IrHookDispatchStorm(bpf::ir::Backend backend) {
     ASSERT_TRUE(registry.Insert(folio));
   }
 
-  bpf::ir::CompileOptions opts;
-  opts.backend = backend;
-  auto ops = bpf::ir::CompileToOps(
-      policies::IrLfuPolicy(policies::IrLfuParams{}), nullptr, opts);
+  const bpf::ir::Backend default_backend = bpf::ir::DefaultBackend();
+  bpf::ir::SetDefaultBackend(backend);
+  auto ops =
+      bpf::ir::CompileToOps(policies::IrLfuPolicy(policies::IrLfuParams{}));
+  bpf::ir::SetDefaultBackend(default_backend);
   ASSERT_TRUE(ops.ok());
   ASSERT_EQ(ops->policy_init(api, nullptr), 0);
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,7 +16,12 @@ namespace {
 
 class PageCacheTest : public ::testing::Test {
  protected:
-  PageCacheTest() {
+  PageCacheTest() { Reset(/*lockless_reads=*/true); }
+
+  // A fresh disk, device and cache whose read hits take the given path.
+  void Reset(bool lockless_reads) {
+    pc_.reset();
+    disk_ = std::make_unique<SimDisk>();
     SsdModelOptions ssd_options;
     ssd_options.channels = 2;
     ssd_options.read_latency_ns = 1000;
@@ -24,8 +30,20 @@ class PageCacheTest : public ::testing::Test {
     ssd_ = std::make_unique<SsdModel>(ssd_options);
     PageCacheOptions options;
     options.max_readahead_pages = 4;
-    pc_ = std::make_unique<PageCache>(&disk_, ssd_.get(), options);
+    options.lockless_reads = lockless_reads;
+    pc_ = std::make_unique<PageCache>(disk_.get(), ssd_.get(), options);
     cg_ = pc_->CreateCgroup("/test", 64 * kPageSize);
+  }
+
+  // Runs `body` on a fresh cache once per hit path: lockless (the default)
+  // and stripe-locked (the lockless_reads = false ablation that
+  // bench_lockless_reads and bench_readahead_order measure).
+  void ForEachReadPath(const std::function<void()>& body) {
+    for (const bool lockless : {true, false}) {
+      SCOPED_TRACE(lockless ? "lockless reads" : "locked reads");
+      Reset(lockless);
+      body();
+    }
   }
 
   Lane MakeLane(int id = 0) {
@@ -51,19 +69,21 @@ class PageCacheTest : public ::testing::Test {
     EXPECT_TRUE(s.ok()) << s.ToString();
   }
 
-  SimDisk disk_;
+  std::unique_ptr<SimDisk> disk_;
   std::unique_ptr<SsdModel> ssd_;
   std::unique_ptr<PageCache> pc_;
   MemCgroup* cg_;
 };
 
 TEST_F(PageCacheTest, WriteThenReadRoundTrip) {
-  Lane lane = MakeLane();
-  auto as = pc_->OpenFile("/f");
-  ASSERT_TRUE(as.ok());
-  WriteString(lane, *as, 0, "hello page cache");
-  EXPECT_EQ(ReadString(lane, *as, 0, 16), "hello page cache");
-  EXPECT_EQ(ReadString(lane, *as, 6, 4), "page");
+  ForEachReadPath([&] {
+    Lane lane = MakeLane();
+    auto as = pc_->OpenFile("/f");
+    ASSERT_TRUE(as.ok());
+    WriteString(lane, *as, 0, "hello page cache");
+    EXPECT_EQ(ReadString(lane, *as, 0, 16), "hello page cache");
+    EXPECT_EQ(ReadString(lane, *as, 6, 4), "page");
+  });
 }
 
 TEST_F(PageCacheTest, OpenFileIsIdempotent) {
@@ -75,43 +95,47 @@ TEST_F(PageCacheTest, OpenFileIsIdempotent) {
 }
 
 TEST_F(PageCacheTest, MissThenHitAccounting) {
-  Lane lane = MakeLane();
-  auto as = pc_->OpenFile("/f");
-  ASSERT_TRUE(as.ok());
-  WriteString(lane, *as, 0, std::string(kPageSize, 'x'));
-  cg_->ResetStats();
+  ForEachReadPath([&] {
+    Lane lane = MakeLane();
+    auto as = pc_->OpenFile("/f");
+    ASSERT_TRUE(as.ok());
+    WriteString(lane, *as, 0, std::string(kPageSize, 'x'));
+    cg_->ResetStats();
 
-  ReadString(lane, *as, 0, 100);  // hit (page resident from the write)
-  EXPECT_EQ(cg_->stat_hits.load(), 1u);
-  EXPECT_EQ(cg_->stat_misses.load(), 0u);
+    ReadString(lane, *as, 0, 100);  // hit (page resident from the write)
+    EXPECT_EQ(cg_->stat_hits.load(), 1u);
+    EXPECT_EQ(cg_->stat_misses.load(), 0u);
 
-  ReadString(lane, *as, 8 * kPageSize, 100);  // miss (beyond extent, zeroes)
-  EXPECT_EQ(cg_->stat_misses.load(), 1u);
+    ReadString(lane, *as, 8 * kPageSize, 100);  // miss (beyond extent, zeroes)
+    EXPECT_EQ(cg_->stat_misses.load(), 1u);
+  });
 }
 
 TEST_F(PageCacheTest, MissChargesDeviceTimeHitDoesNot) {
-  Lane lane = MakeLane();
-  auto as = pc_->OpenFile("/f");
-  ASSERT_TRUE(as.ok());
-  ASSERT_TRUE(disk_.Truncate((*as)->file(), 16 * kPageSize).ok());
+  ForEachReadPath([&] {
+    Lane lane = MakeLane();
+    auto as = pc_->OpenFile("/f");
+    ASSERT_TRUE(as.ok());
+    ASSERT_TRUE(disk_->Truncate((*as)->file(), 16 * kPageSize).ok());
 
-  const uint64_t before_miss = lane.now_ns();
-  ReadString(lane, *as, 0, 64);
-  const uint64_t miss_cost = lane.now_ns() - before_miss;
-  EXPECT_GE(miss_cost, 1000u);  // at least the device base latency
+    const uint64_t before_miss = lane.now_ns();
+    ReadString(lane, *as, 0, 64);
+    const uint64_t miss_cost = lane.now_ns() - before_miss;
+    EXPECT_GE(miss_cost, 1000u);  // at least the device base latency
 
-  const uint64_t before_hit = lane.now_ns();
-  ReadString(lane, *as, 0, 64);
-  const uint64_t hit_cost = lane.now_ns() - before_hit;
-  EXPECT_LT(hit_cost, 2000u);  // pure CPU (syscall + hit + hook costs)
-  EXPECT_LT(hit_cost, miss_cost);
+    const uint64_t before_hit = lane.now_ns();
+    ReadString(lane, *as, 0, 64);
+    const uint64_t hit_cost = lane.now_ns() - before_hit;
+    EXPECT_LT(hit_cost, 2000u);  // pure CPU (syscall + hit + hook costs)
+    EXPECT_LT(hit_cost, miss_cost);
+  });
 }
 
 TEST_F(PageCacheTest, ContiguousMissesBatchIntoOneDeviceRead) {
   Lane lane = MakeLane();
   auto as = pc_->OpenFile("/f");
   ASSERT_TRUE(as.ok());
-  ASSERT_TRUE(disk_.Truncate((*as)->file(), 64 * kPageSize).ok());
+  ASSERT_TRUE(disk_->Truncate((*as)->file(), 64 * kPageSize).ok());
   const uint64_t reads_before = ssd_->total_reads();
   std::vector<uint8_t> buf(8 * kPageSize);
   ASSERT_TRUE(pc_->Read(lane, *as, cg_, 0, std::span<uint8_t>(buf)).ok());
@@ -123,7 +147,7 @@ TEST_F(PageCacheTest, CgroupLimitEnforcedViaReclaim) {
   Lane lane = MakeLane();
   auto as = pc_->OpenFile("/big");
   ASSERT_TRUE(as.ok());
-  ASSERT_TRUE(disk_.Truncate((*as)->file(), 1024 * kPageSize).ok());
+  ASSERT_TRUE(disk_->Truncate((*as)->file(), 1024 * kPageSize).ok());
   // Touch 4x the cgroup's 64-page limit.
   std::vector<uint8_t> buf(kPageSize);
   for (uint64_t i = 0; i < 256; ++i) {
@@ -137,19 +161,21 @@ TEST_F(PageCacheTest, CgroupLimitEnforcedViaReclaim) {
 }
 
 TEST_F(PageCacheTest, DirtyFoliosWrittenBackOnEviction) {
-  Lane lane = MakeLane();
-  auto as = pc_->OpenFile("/f");
-  ASSERT_TRUE(as.ok());
-  // Dirty 3x the limit; evictions must flush to the device.
-  const std::string page(kPageSize, 'd');
-  for (uint64_t i = 0; i < 192; ++i) {
-    WriteString(lane, *as, i * kPageSize, page);
-  }
-  EXPECT_GT(ssd_->total_writes(), 0u);
-  const CgroupCacheStats stats = pc_->StatsFor(cg_);
-  EXPECT_GT(stats.writeback_pages, 0u);
-  // Data integrity after writeback + eviction.
-  EXPECT_EQ(ReadString(lane, *as, 0, kPageSize), page);
+  ForEachReadPath([&] {
+    Lane lane = MakeLane();
+    auto as = pc_->OpenFile("/f");
+    ASSERT_TRUE(as.ok());
+    // Dirty 3x the limit; evictions must flush to the device.
+    const std::string page(kPageSize, 'd');
+    for (uint64_t i = 0; i < 192; ++i) {
+      WriteString(lane, *as, i * kPageSize, page);
+    }
+    EXPECT_GT(ssd_->total_writes(), 0u);
+    const CgroupCacheStats stats = pc_->StatsFor(cg_);
+    EXPECT_GT(stats.writeback_pages, 0u);
+    // Data integrity after writeback + eviction.
+    EXPECT_EQ(ReadString(lane, *as, 0, kPageSize), page);
+  });
 }
 
 TEST_F(PageCacheTest, SyncFileFlushesDirtyPages) {
@@ -168,24 +194,27 @@ TEST_F(PageCacheTest, SyncFileFlushesDirtyPages) {
 }
 
 TEST_F(PageCacheTest, SequentialReadsTriggerReadahead) {
-  Lane lane = MakeLane();
-  auto as = pc_->OpenFile("/seq");
-  ASSERT_TRUE(as.ok());
-  ASSERT_TRUE(disk_.Truncate((*as)->file(), 64 * kPageSize).ok());
-  std::vector<uint8_t> buf(kPageSize);
-  for (uint64_t i = 0; i < 8; ++i) {
-    ASSERT_TRUE(
-        pc_->Read(lane, *as, cg_, i * kPageSize, std::span<uint8_t>(buf)).ok());
-  }
-  const CgroupCacheStats stats = pc_->StatsFor(cg_);
-  EXPECT_GT(stats.readahead_pages, 0u);
+  ForEachReadPath([&] {
+    Lane lane = MakeLane();
+    auto as = pc_->OpenFile("/seq");
+    ASSERT_TRUE(as.ok());
+    ASSERT_TRUE(disk_->Truncate((*as)->file(), 64 * kPageSize).ok());
+    std::vector<uint8_t> buf(kPageSize);
+    for (uint64_t i = 0; i < 8; ++i) {
+      ASSERT_TRUE(pc_->Read(lane, *as, cg_, i * kPageSize,
+                            std::span<uint8_t>(buf))
+                      .ok());
+    }
+    const CgroupCacheStats stats = pc_->StatsFor(cg_);
+    EXPECT_GT(stats.readahead_pages, 0u);
+  });
 }
 
 TEST_F(PageCacheTest, FadvRandomDisablesReadahead) {
   Lane lane = MakeLane();
   auto as = pc_->OpenFile("/rand");
   ASSERT_TRUE(as.ok());
-  ASSERT_TRUE(disk_.Truncate((*as)->file(), 64 * kPageSize).ok());
+  ASSERT_TRUE(disk_->Truncate((*as)->file(), 64 * kPageSize).ok());
   ASSERT_TRUE(
       pc_->FadviseRange(lane, *as, cg_, Fadvise::kRandom, 0, 0).ok());
   std::vector<uint8_t> buf(kPageSize);
@@ -197,32 +226,36 @@ TEST_F(PageCacheTest, FadvRandomDisablesReadahead) {
 }
 
 TEST_F(PageCacheTest, FadvDontNeedInvalidatesRange) {
-  Lane lane = MakeLane();
-  auto as = pc_->OpenFile("/f");
-  ASSERT_TRUE(as.ok());
-  WriteString(lane, *as, 0, std::string(4 * kPageSize, 'x'));
-  ASSERT_EQ((*as)->nr_resident(), 4u);
-  ASSERT_TRUE(pc_->FadviseRange(lane, *as, cg_, Fadvise::kDontNeed, 0,
-                                2 * kPageSize)
-                  .ok());
-  EXPECT_EQ((*as)->nr_resident(), 2u);
-  EXPECT_GT(pc_->StatsFor(cg_).invalidations, 0u);
-  // DONTNEED does not leave shadow entries; data still correct from disk.
-  EXPECT_EQ(ReadString(lane, *as, 0, 4), "xxxx");
+  ForEachReadPath([&] {
+    Lane lane = MakeLane();
+    auto as = pc_->OpenFile("/f");
+    ASSERT_TRUE(as.ok());
+    WriteString(lane, *as, 0, std::string(4 * kPageSize, 'x'));
+    ASSERT_EQ((*as)->nr_resident(), 4u);
+    ASSERT_TRUE(pc_->FadviseRange(lane, *as, cg_, Fadvise::kDontNeed, 0,
+                                  2 * kPageSize)
+                    .ok());
+    EXPECT_EQ((*as)->nr_resident(), 2u);
+    EXPECT_GT(pc_->StatsFor(cg_).invalidations, 0u);
+    // DONTNEED does not leave shadow entries; data still correct from disk.
+    EXPECT_EQ(ReadString(lane, *as, 0, 4), "xxxx");
+  });
 }
 
 TEST_F(PageCacheTest, FadvWillNeedPrefetches) {
-  Lane lane = MakeLane();
-  auto as = pc_->OpenFile("/f");
-  ASSERT_TRUE(as.ok());
-  ASSERT_TRUE(disk_.Truncate((*as)->file(), 16 * kPageSize).ok());
-  ASSERT_TRUE(pc_->FadviseRange(lane, *as, cg_, Fadvise::kWillNeed, 0,
-                                8 * kPageSize)
-                  .ok());
-  EXPECT_EQ((*as)->nr_resident(), 8u);
-  cg_->ResetStats();
-  ReadString(lane, *as, 0, kPageSize);
-  EXPECT_EQ(cg_->stat_misses.load(), 0u);  // prefetched -> hit
+  ForEachReadPath([&] {
+    Lane lane = MakeLane();
+    auto as = pc_->OpenFile("/f");
+    ASSERT_TRUE(as.ok());
+    ASSERT_TRUE(disk_->Truncate((*as)->file(), 16 * kPageSize).ok());
+    ASSERT_TRUE(pc_->FadviseRange(lane, *as, cg_, Fadvise::kWillNeed, 0,
+                                  8 * kPageSize)
+                    .ok());
+    EXPECT_EQ((*as)->nr_resident(), 8u);
+    cg_->ResetStats();
+    ReadString(lane, *as, 0, kPageSize);
+    EXPECT_EQ(cg_->stat_misses.load(), 0u);  // prefetched -> hit
+  });
 }
 
 TEST_F(PageCacheTest, FadvNoReuseMarksFoliosDropBehind) {
@@ -263,7 +296,7 @@ TEST_F(PageCacheTest, DeleteFileRemovesEverything) {
   const uint64_t charged_before = cg_->charged_pages();
   ASSERT_TRUE(pc_->DeleteFile(lane, *as).ok());
   EXPECT_EQ(cg_->charged_pages(), charged_before - 4);
-  EXPECT_FALSE(disk_.Exists("/doomed"));
+  EXPECT_FALSE(disk_->Exists("/doomed"));
   // Reopening creates a fresh empty file.
   auto again = pc_->OpenFile("/doomed");
   ASSERT_TRUE(again.ok());
@@ -274,7 +307,7 @@ TEST_F(PageCacheTest, RefaultActivationAfterQuickReeviction) {
   Lane lane = MakeLane();
   auto as = pc_->OpenFile("/ws");
   ASSERT_TRUE(as.ok());
-  ASSERT_TRUE(disk_.Truncate((*as)->file(), 1024 * kPageSize).ok());
+  ASSERT_TRUE(disk_->Truncate((*as)->file(), 1024 * kPageSize).ok());
   std::vector<uint8_t> buf(kPageSize);
   // Cycle far more pages than the limit to force evictions with shadows.
   for (uint64_t i = 0; i < 512; ++i) {
@@ -286,22 +319,24 @@ TEST_F(PageCacheTest, RefaultActivationAfterQuickReeviction) {
 }
 
 TEST_F(PageCacheTest, CrossCgroupAccessChargesOwnerOnly) {
-  Lane lane = MakeLane();
-  MemCgroup* other = pc_->CreateCgroup("/other", 64 * kPageSize);
-  auto as = pc_->OpenFile("/shared");
-  ASSERT_TRUE(as.ok());
-  // cg_ faults the page in and owns it.
-  WriteString(lane, *as, 0, "shared data");
-  const uint64_t owner_charge = cg_->charged_pages();
-  ASSERT_EQ(other->charged_pages(), 0u);
+  ForEachReadPath([&] {
+    Lane lane = MakeLane();
+    MemCgroup* other = pc_->CreateCgroup("/other", 64 * kPageSize);
+    auto as = pc_->OpenFile("/shared");
+    ASSERT_TRUE(as.ok());
+    // cg_ faults the page in and owns it.
+    WriteString(lane, *as, 0, "shared data");
+    const uint64_t owner_charge = cg_->charged_pages();
+    ASSERT_EQ(other->charged_pages(), 0u);
 
-  // A process in `other` reads the same page: hit, owner keeps the charge,
-  // and the *owner's* hit counter moves.
-  cg_->ResetStats();
-  ReadString(lane, *as, 0, 4, other);
-  EXPECT_EQ(other->charged_pages(), 0u);
-  EXPECT_EQ(cg_->charged_pages(), owner_charge);
-  EXPECT_EQ(cg_->stat_hits.load(), 1u);
+    // A process in `other` reads the same page: hit, owner keeps the charge,
+    // and the *owner's* hit counter moves.
+    cg_->ResetStats();
+    ReadString(lane, *as, 0, 4, other);
+    EXPECT_EQ(other->charged_pages(), 0u);
+    EXPECT_EQ(cg_->charged_pages(), owner_charge);
+    EXPECT_EQ(cg_->stat_hits.load(), 1u);
+  });
 }
 
 TEST_F(PageCacheTest, OomKillsWhenNothingReclaimable) {
@@ -310,7 +345,7 @@ TEST_F(PageCacheTest, OomKillsWhenNothingReclaimable) {
   Lane lane = MakeLane();
   auto as = pc_->OpenFile("/pinned");
   ASSERT_TRUE(as.ok());
-  ASSERT_TRUE(disk_.Truncate((*as)->file(), 64 * kPageSize).ok());
+  ASSERT_TRUE(disk_->Truncate((*as)->file(), 64 * kPageSize).ok());
   std::vector<uint8_t> buf(kPageSize);
   // No readahead: with a 2-page cgroup, speculative prefetch would evict
   // the very pages this test wants to pin.
@@ -356,17 +391,19 @@ TEST_F(PageCacheTest, NullArgumentsRejected) {
 }
 
 TEST_F(PageCacheTest, UnalignedReadSpanningPages) {
-  Lane lane = MakeLane();
-  auto as = pc_->OpenFile("/f");
-  ASSERT_TRUE(as.ok());
-  std::string data(3 * kPageSize, '\0');
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<char>('a' + (i % 26));
-  }
-  WriteString(lane, *as, 0, data);
-  const std::string middle =
-      ReadString(lane, *as, kPageSize - 10, 20);  // spans pages 0-1
-  EXPECT_EQ(middle, data.substr(kPageSize - 10, 20));
+  ForEachReadPath([&] {
+    Lane lane = MakeLane();
+    auto as = pc_->OpenFile("/f");
+    ASSERT_TRUE(as.ok());
+    std::string data(3 * kPageSize, '\0');
+    for (size_t i = 0; i < data.size(); ++i) {
+      data[i] = static_cast<char>('a' + (i % 26));
+    }
+    WriteString(lane, *as, 0, data);
+    const std::string middle =
+        ReadString(lane, *as, kPageSize - 10, 20);  // spans pages 0-1
+    EXPECT_EQ(middle, data.substr(kPageSize - 10, 20));
+  });
 }
 
 // A policy that evicts nothing and reports fixed PolicyRuntimeCounters: the

@@ -4,6 +4,7 @@
 #   tools/check.sh              # build (warnings are errors) + ctest in
 #                               # ./build
 #   tools/check.sh --sanitize   # additionally build + ctest under ASan+UBSan
+#                               # (warnings are errors in every build)
 #   tools/check.sh --chaos      # ASan build, chaos-labelled tests (incl.
 #                               # the reclaim stall/death/overshoot suite)
 #                               # + the bench_chaos fault-storm soak
@@ -11,8 +12,8 @@
 #                               # (concurrency_test — incl. the IR hook
 #                               # dispatch storms on both backends — +
 #                               # ebr_test + reclaim_test's reclaimer-thread
-#                               # races) + a bench_mt_scaling run (refreshes
-#                               # bench/baselines/BENCH_mt_scaling.json) + an
+#                               # races) + a bench_mt_scaling run (report in
+#                               # build/BENCH_mt_scaling.json) + an
 #                               # ir_lfu-on-every-lane scaling check
 #   tools/check.sh --bench-smoke  # quick bench_table4_noop_overhead,
 #                               # bench_local_storage, bench_lockless_reads,
@@ -68,7 +69,8 @@ if [[ "$chaos" == 1 ]]; then
   # Chaos harness under AddressSanitizer: fault storms must be memory-clean
   # (no invalid folio pointer is ever dereferenced, §4.4).
   echo "== chaos: ASan build + chaos-labelled tests (build-asan/) =="
-  cmake -B build-asan -DCACHE_EXT_SANITIZE=address >/dev/null
+  cmake -B build-asan -DCACHE_EXT_SANITIZE=address \
+      -DCMAKE_CXX_FLAGS=-Werror >/dev/null
   cmake --build build-asan -j "$jobs"
   ctest --test-dir build-asan -L chaos -j "$jobs" --output-on-failure
   echo "== chaos: bench_chaos fault-storm soak =="
@@ -83,15 +85,16 @@ if [[ "$tsan" == 1 ]]; then
   # Everything else in the suite is single-threaded, so only the MT tests
   # run here; halt_on_error makes any report fail the gate.
   echo "== tsan: ThreadSanitizer build + MT stress tests (build-tsan/) =="
-  cmake -B build-tsan -DCACHE_EXT_SANITIZE=thread >/dev/null
+  cmake -B build-tsan -DCACHE_EXT_SANITIZE=thread \
+      -DCMAKE_CXX_FLAGS=-Werror >/dev/null
   cmake --build build-tsan -j "$jobs" --target concurrency_test ebr_test reclaim_test bench_mt_scaling
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/concurrency_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/ebr_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/reclaim_test
-  echo "== tsan: MT scaling run (regular build, baseline refresh) =="
-  cmake -B build >/dev/null
+  echo "== tsan: MT scaling run (regular build) =="
+  cmake -B build -DCMAKE_CXX_FLAGS=-Werror >/dev/null
   cmake --build build -j "$jobs" --target bench_mt_scaling
-  ./build/bench/bench_mt_scaling --out bench/baselines/BENCH_mt_scaling.json
+  ./build/bench/bench_mt_scaling --out build/BENCH_mt_scaling.json
   echo "== tsan: MT scaling with ir_lfu attached (JIT dispatch must not serialize lanes) =="
   ./build/bench/bench_mt_scaling --quick --policy ir_lfu --check \
       --out build/BENCH_mt_scaling_ir_lfu.json
@@ -171,7 +174,8 @@ run_suite build -DCMAKE_CXX_FLAGS=-Werror
 
 if [[ "$sanitize" == 1 ]]; then
   echo "== sanitizers: ASan + UBSan (build-asan/) =="
-  run_suite build-asan -DCACHE_EXT_SANITIZE=address,undefined
+  run_suite build-asan -DCACHE_EXT_SANITIZE=address,undefined \
+      -DCMAKE_CXX_FLAGS=-Werror
 fi
 
 echo "== check.sh: all green =="
