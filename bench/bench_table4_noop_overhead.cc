@@ -13,8 +13,15 @@
 // Paper rows (µCPU per I/O): 5 GiB 234.80 -> 236.51 (+0.72%), 10 GiB
 // 217.48 -> 221.14 (+1.66%), 30 GiB 197.67 -> 198.01 (+0.17%).
 //
+// Protocol: each row runs kTrials trials, and each trial measures every
+// policy once, round-robin, so slow drift on a shared machine lands on all
+// policies alike instead of on whichever ran last. A policy's point is the
+// median of its trials. The no-op overhead is the median of the per-trial
+// paired noop − default deltas, printed with their min and max so the
+// spread is visible next to the figure.
+//
 // Flags:
-//   --quick               one trial, fewer ops, middle row only
+//   --quick               fewer ops per trial, middle row only
 //   --out PATH            write measured points as baseline JSON
 //   --baseline PATH       compare against a baseline; exit 1 on regression
 //   --threshold F         regression threshold (default 0.15 = +15%)
@@ -121,14 +128,10 @@ double MeasureOnce(uint64_t cgroup_pages, const std::string& policy,
          static_cast<double>(measure_ops);
 }
 
-double MeasureNsPerOp(uint64_t cgroup_pages, const std::string& policy,
-                      const Options& opts, CgroupCacheStats* stats_out) {
-  const uint64_t measure_ops = opts.quick ? 60000 : 200000;
-  const int trials = opts.quick ? 1 : 3;
-  std::vector<double> samples(static_cast<size_t>(trials));
-  for (double& trial : samples) {
-    trial = MeasureOnce(cgroup_pages, policy, measure_ops, stats_out);
-  }
+// Trials per Table 4 row, full and --quick alike.
+constexpr int kTrials = 3;
+
+double Median(std::vector<double> samples) {
   std::sort(samples.begin(), samples.end());
   return samples[samples.size() / 2];
 }
@@ -382,44 +385,56 @@ int RunTable4(const Options& opts) {
       {"cgroup size", "default", "noop", "lfu", "lhd", "s3fifo", "ir_fifo",
        "ir_lfu"});
   harness::Table overhead_table(
-      "Table 4 — no-op overhead vs default",
-      {"cgroup size", "default", "cache_ext no-op", "added", "vs sim path",
-       "vs kernel path"});
+      "Table 4 — no-op overhead vs default (median of " +
+          std::to_string(kTrials) + " paired trials)",
+      {"cgroup size", "default", "cache_ext no-op", "added", "added min..max",
+       "vs sim path", "vs kernel path"});
   // Our simulated read hot path costs well under 1 us of real CPU; the
   // kernel's buffered-read path (syscall, VFS, filemap, locking, copyout)
   // costs an order of magnitude more, which is the denominator the paper's
   // 0.17-1.66% rows are measured against. We report the absolute added
   // cost and both relative views.
   constexpr double kKernelReadPathNs = 10000.0;
+  const uint64_t measure_ops = opts.quick ? 60000 : 200000;
 
   for (const Row& row : rows) {
-    std::vector<std::string> cells = {row.label};
-    double base_ns = 0.0;
-    double noop_ns = 0.0;
-    for (const std::string& policy : policies) {
-      CgroupCacheStats stats;
-      const double ns = MeasureNsPerOp(row.pages, policy, opts, &stats);
-      cells.push_back(harness::FormatDouble(ns, 1) + " ns/op");
-      points.push_back(
-          {std::to_string(row.pages) + "_" + policy, ns});
-      if (policy == "default") {
-        base_ns = ns;
-      } else if (policy == "noop") {
-        noop_ns = ns;
+    // samples[p][t]: policy p in trial t. Each trial runs every policy once.
+    std::vector<std::vector<double>> samples(policies.size());
+    std::vector<CgroupCacheStats> stats(policies.size());
+    for (int t = 0; t < kTrials; ++t) {
+      for (size_t p = 0; p < policies.size(); ++p) {
+        samples[p].push_back(
+            MeasureOnce(row.pages, policies[p], measure_ops, &stats[p]));
       }
+    }
+    std::vector<std::string> cells = {row.label};
+    for (size_t p = 0; p < policies.size(); ++p) {
+      const std::string& policy = policies[p];
+      const double ns = Median(samples[p]);
+      cells.push_back(harness::FormatDouble(ns, 1) + " ns/op");
+      points.push_back({std::to_string(row.pages) + "_" + policy, ns});
       if (!harness::IsBaselinePolicy(policy) && policy != "noop") {
         ArmResult arm;
-        arm.cache_stats = stats;
+        arm.cache_stats = stats[p];
         counter_rows.emplace_back(
             policy + " @" + std::to_string(row.pages) + "p", arm);
       }
     }
     policy_table.AddRow(cells);
-    const double added = noop_ns - base_ns;
+    // policies[0] is "default", policies[1] is "noop".
+    std::vector<double> deltas;
+    for (int t = 0; t < kTrials; ++t) {
+      deltas.push_back(samples[1][t] - samples[0][t]);
+    }
+    const double base_ns = Median(samples[0]);
+    const double added = Median(deltas);
+    const auto [lo, hi] = std::minmax_element(deltas.begin(), deltas.end());
     overhead_table.AddRow(
         {row.label, harness::FormatDouble(base_ns, 1) + " ns/op",
-         harness::FormatDouble(noop_ns, 1) + " ns/op",
+         harness::FormatDouble(Median(samples[1]), 1) + " ns/op",
          harness::FormatDouble(added, 1) + " ns",
+         harness::FormatDouble(*lo, 1) + ".." + harness::FormatDouble(*hi, 1) +
+             " ns",
          harness::FormatDouble(added / base_ns * 100, 2) + "%",
          harness::FormatDouble(added / kKernelReadPathNs * 100, 2) + "%"});
   }

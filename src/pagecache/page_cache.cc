@@ -43,19 +43,9 @@ PageCache::PageCache(SimDisk* disk, SsdModel* ssd, PageCacheOptions options)
     : disk_(disk), ssd_(ssd), options_(options) {
   CHECK_NOTNULL(disk_);
   CHECK_NOTNULL(ssd_);
-  if (options_.reclaim.background && options_.reclaim.use_threads) {
-    reclaimer_pool_ = std::make_unique<reclaim::ReclaimerPool>(
-        options_.reclaim,
-        [this](void* token) { BackgroundTickForToken(token); });
-  }
 }
 
 PageCache::~PageCache() CACHE_EXT_NO_TSA {
-  // Reclaimer threads first: they reach through CgroupStates into policies
-  // and folios, so they must be joined before anything else is torn down.
-  if (reclaimer_pool_ != nullptr) {
-    reclaimer_pool_->Stop();
-  }
   // Drain every deferred free first (folios and xarray nodes this cache
   // retired): their deleters touch the local-storage directory and must
   // not run after our policies are gone mid-teardown.
@@ -89,9 +79,6 @@ MemCgroup* PageCache::CreateCgroup(std::string_view name, uint64_t limit_bytes,
       static_cast<uint32_t>(state->cg->id()), state->counters);
   state->cg->set_priv(state.get());
   MemCgroup* cg = state->cg.get();
-  if (reclaimer_pool_ != nullptr) {
-    reclaimer_pool_->Register(state.get());
-  }
   cgroups_.push_back(std::move(state));
   return cg;
 }
@@ -864,8 +851,8 @@ void PageCache::DirectReclaim(Lane& lane, CgroupState& st,
                          total_evicted);
 }
 
-void PageCache::BackgroundTick(CgroupState& st, DispatchBatch* batch,
-                               uint64_t now_hint_ns) {
+void PageCache::BackgroundTick(CgroupState& st, DispatchBatch& batch,
+                               uint64_t now_ns) {
   MemCgroup* cg = st.cg.get();
   reclaim::CgroupReclaimControl& rc = *st.reclaim;
   const reclaim::Watermarks wm = reclaim::ForCgroup(*cg);
@@ -881,14 +868,12 @@ void PageCache::BackgroundTick(CgroupState& st, DispatchBatch* batch,
   }
   Lane& rlane = rc.lane();
   // The daemon cannot have acted before the pressure that woke it: pin its
-  // clock forward to the waker's (pool threads pass 0 — no virtual waker).
-  rlane.AdvanceTo(now_hint_ns);
+  // clock forward to the waker's.
+  rlane.AdvanceTo(now_ns);
   // Eviction hooks run as the reclaimer task (the kswapd analogue), not as
   // whichever reader happened to trip the wakeup.
   ScopedCurrentTask current_task(rc.task());
-  if (batch != nullptr) {
-    DrainLocked(rlane, *batch, st);
-  }
+  DrainLocked(rlane, batch, st);
   const uint64_t start_ns = rlane.now_ns();
   uint32_t batches = 0;
   while (!wm.TargetReached(cg->charged_pages()) &&
@@ -916,35 +901,6 @@ void PageCache::BackgroundTick(CgroupState& st, DispatchBatch* batch,
   }
 }
 
-void PageCache::KickBackground(Lane& lane, CgroupState& st,
-                               DispatchBatch& batch) {
-  if (reclaimer_pool_ != nullptr) {
-    // Async: allocation pays a condvar signal, never reclaim work.
-    reclaimer_pool_->Kick(&st);
-    return;
-  }
-  // Virtual lane (single-threaded sims): tick synchronously, modelling an
-  // always-prompt daemon. The eviction work is charged to the reclaimer's
-  // own clock — the allocating lane's latency is untouched.
-  BackgroundTick(st, &batch, lane.now_ns());
-}
-
-void PageCache::BackgroundTickForToken(void* token) CACHE_EXT_NO_TSA {
-  auto* st = static_cast<CgroupState*>(token);
-  if (st->oom_killed.load(std::memory_order_relaxed)) {
-    return;
-  }
-  const reclaim::Watermarks wm = reclaim::ForCgroup(*st->cg);
-  // Lock-free pressure gate: idle cgroups cost the pool two relaxed loads
-  // per poll, never a lock acquisition that could contend the hot path.
-  if (!wm.Valid() ||
-      !st->reclaim->ShouldWake(st->cg->charged_pages(), wm)) {
-    return;
-  }
-  MutexLock lock(st->mu);
-  BackgroundTick(*st, nullptr, 0);
-}
-
 void PageCache::ReclaimIfNeeded(Lane& lane, CgroupState& st,
                                 DispatchBatch& batch) {
   MemCgroup* cg = st.cg.get();
@@ -970,8 +926,11 @@ void PageCache::ReclaimIfNeeded(Lane& lane, CgroupState& st,
     }
     return;
   }
+  // Wake the reclaimer: its lane ticks synchronously, modelling an
+  // always-prompt daemon, and the eviction work is charged to the
+  // reclaimer's own clock — the allocating lane's latency is untouched.
   if (rc.ShouldWake(cg->charged_pages(), wm) && rc.KickAllowed()) {
-    KickBackground(lane, st, batch);
+    BackgroundTick(st, batch, lane.now_ns());
   }
   if (!cg->OverLimit()) {
     // The common case with a healthy daemon: allocate from pre-reclaimed
@@ -985,7 +944,7 @@ void PageCache::ReclaimIfNeeded(Lane& lane, CgroupState& st,
   // try that once before paying inline.
   const uint64_t overshoot = cg->charged_pages() - cg->limit_pages();
   if (rc.NoteEmergencyEntry(overshoot)) {
-    KickBackground(lane, st, batch);
+    BackgroundTick(st, batch, lane.now_ns());
     if (!cg->OverLimit()) {
       return;
     }
@@ -1086,43 +1045,22 @@ void PageCache::FlushTick(CgroupState& st, DispatchBatch* batch,
     }
   }
 
-  // Submit: sort into policy-key/file-offset order and merge contiguous
-  // same-file runs so one device write covers a whole extent (the block
-  // layer's request merging). All CPU time lands on the flusher lane.
+  // Submit in policy-key/file-offset order, one device write per extent.
+  // All CPU time lands on the flusher lane.
   writeback::SortFlushItems(items);
   uint64_t pages = 0;
   uint64_t extents = 0;
-  size_t reverted_from = items.size();
   size_t i = 0;
   while (i < items.size()) {
     if (extents > 0 && fc.PartialFlushInjected()) {
-      reverted_from = i;  // chaos: the tick dies after its first extent
-      break;
+      break;  // chaos: the tick dies after its first extent
     }
-    size_t j = i;
-    uint64_t run_pages = items[i].nr_pages;
-    while (j + 1 < items.size() && items[j + 1].mapping == items[j].mapping &&
-           items[j + 1].index == items[j].index + items[j].nr_pages &&
-           run_pages + items[j + 1].nr_pages <=
-               writeback::kMaxExtentPages) {
-      ++j;
-      run_pages += items[j].nr_pages;
-    }
-    const uint64_t completion =
-        ssd_->SubmitWrite(wlane.now_ns(), run_pages * kPageSize);
-    wlane.Charge(run_pages * options_.costs.writeback_page_ns);
-    items[i].mapping->NoteWritebackCompletion(completion);
-    st.counters.Add(CgroupCounter::writeback_pages, run_pages);
-    for (size_t k = i; k <= j; ++k) {
-      items[k].folio->ClearFlag(kFolioWriteback);
-      items[k].mapping->wb_seq_done.fetch_add(1, std::memory_order_release);
-      items[k].folio->Unpin();
-    }
-    pages += run_pages;
+    const size_t end = writeback::ExtentEnd(items, i);
+    pages += WriteExtent(wlane, std::span(items).subspan(i, end - i));
     ++extents;
-    i = j + 1;
+    i = end;
   }
-  for (size_t k = reverted_from; k < items.size(); ++k) {
+  for (size_t k = i; k < items.size(); ++k) {
     // Un-submitted items revert to dirty (contents are safe — SimDisk is
     // write-through; only durability timing was pending). NoteDirtied also
     // requeues the file, so the next tick retries the lost work.
@@ -1139,6 +1077,28 @@ void PageCache::FlushTick(CgroupState& st, DispatchBatch* batch,
   if (dl.TargetReached(fc.nr_dirty())) {
     fc.NoteTargetReached();
   }
+}
+
+uint64_t PageCache::WriteExtent(Lane& lane,
+                                std::span<const writeback::FlushItem> extent) {
+  uint64_t pages = 0;
+  for (const writeback::FlushItem& item : extent) {
+    pages += item.nr_pages;
+  }
+  AddressSpace* as = extent.front().mapping;
+  const uint64_t completion =
+      ssd_->SubmitWrite(lane.now_ns(), pages * kPageSize);
+  lane.Charge(pages * options_.costs.writeback_page_ns);
+  as->NoteWritebackCompletion(completion);
+  for (const writeback::FlushItem& item : extent) {
+    if (CgroupState* owner = StateFor(item.folio->memcg); owner != nullptr) {
+      owner->counters.Add(CgroupCounter::writeback_pages, item.nr_pages);
+    }
+    item.folio->ClearFlag(kFolioWriteback);
+    as->wb_seq_done.fetch_add(1, std::memory_order_release);
+    item.folio->Unpin();
+  }
+  return pages;
 }
 
 void PageCache::BalanceDirty(Lane& lane, CgroupState& st) {
@@ -1630,35 +1590,14 @@ Status PageCache::SyncFile(Lane& lane, AddressSpace* as) {
     owner->flush->NoteSyncEntry();
   }
 
-  // Phase 2 — submit outside the stripe in file-offset order, merging
-  // contiguous runs into extents. fsync is synchronous by definition, so
-  // the CPU cost stays on the calling lane (unlike background flushing).
+  // Phase 2 — submit outside the stripe in file-offset order, one device
+  // write per extent. fsync is synchronous by definition, so the CPU cost
+  // stays on the calling lane (unlike background flushing).
   writeback::SortFlushItems(items);
-  size_t i = 0;
-  while (i < items.size()) {
-    size_t j = i;
-    uint64_t run_pages = items[i].nr_pages;
-    while (j + 1 < items.size() &&
-           items[j + 1].index == items[j].index + items[j].nr_pages &&
-           run_pages + items[j + 1].nr_pages <=
-               writeback::kMaxExtentPages) {
-      ++j;
-      run_pages += items[j].nr_pages;
-    }
-    const uint64_t completion =
-        ssd_->SubmitWrite(lane.now_ns(), run_pages * kPageSize);
-    lane.Charge(run_pages * options_.costs.writeback_page_ns);
-    as->NoteWritebackCompletion(completion);
-    for (size_t k = i; k <= j; ++k) {
-      if (CgroupState* owner = StateFor(items[k].folio->memcg);
-          owner != nullptr) {
-        owner->counters.Add(CgroupCounter::writeback_pages, items[k].nr_pages);
-      }
-      items[k].folio->ClearFlag(kFolioWriteback);
-      as->wb_seq_done.fetch_add(1, std::memory_order_release);
-      items[k].folio->Unpin();
-    }
-    i = j + 1;
+  for (size_t i = 0; i < items.size();) {
+    const size_t end = writeback::ExtentEnd(items, i);
+    WriteExtent(lane, std::span(items).subspan(i, end - i));
+    i = end;
   }
 
   // Phase 3 — drain: wait for every writeback this fsync depends on (its

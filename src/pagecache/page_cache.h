@@ -262,7 +262,7 @@ class PageCache {
     uint64_t base_event_cost_ns = 0;  // immutable after CreateCgroup
     // Background-reclaim control block (hysteresis latch, heartbeat,
     // watchdog, the reclaimer's own virtual lane). The lruvec->kswapd link;
-    // heavy mutation happens under mu, wake checks are lock-free atomics.
+    // mutated under mu.
     std::unique_ptr<reclaim::CgroupReclaimControl> reclaim;
     // Background-writeback control block (dirty-file set, wakeup latch,
     // the flusher's own virtual lane). The bdi_writeback analogue; the
@@ -417,22 +417,13 @@ class PageCache {
       CACHE_EXT_REQUIRES(st.mu);
 
   // One reclaimer-lane tick: batches toward the high watermark on the
-  // control block's own virtual lane, as the reclaimer task. `batch` (may
-  // be null from pool threads) is drained first so the policy sees pending
-  // notifications; `now_hint_ns` pins the reclaimer clock forward to the
-  // waker's (0 = none).
-  void BackgroundTick(CgroupState& st, DispatchBatch* batch,
-                      uint64_t now_hint_ns) CACHE_EXT_REQUIRES(st.mu);
-
-  // Wake the cgroup's reclaimer: async condvar kick in threaded mode, a
-  // synchronous virtual-lane tick otherwise (whose cost lands on the
-  // reclaimer's clock, not the allocator's).
-  void KickBackground(Lane& lane, CgroupState& st, DispatchBatch& batch)
+  // control block's own virtual lane, as the reclaimer task. `batch` is
+  // drained first so the policy sees pending notifications; the reclaimer
+  // clock is pinned forward to the waker's `now_ns`. Ticked synchronously
+  // from ReclaimIfNeeded, its cost lands on the reclaimer's clock, not the
+  // allocator's.
+  void BackgroundTick(CgroupState& st, DispatchBatch& batch, uint64_t now_ns)
       CACHE_EXT_REQUIRES(st.mu);
-
-  // ReclaimerPool callback: pressure-check the cgroup without its lock,
-  // then lock and tick.
-  void BackgroundTickForToken(void* token);
 
   // --- Writeback -----------------------------------------------------------
   //
@@ -457,6 +448,15 @@ class PageCache {
   // flusher clock forward to the waker's.
   void FlushTick(CgroupState& st, DispatchBatch* batch, uint64_t now_hint_ns)
       CACHE_EXT_REQUIRES(st.mu);
+
+  // Submit one extent of a sorted harvest (a run cut by
+  // writeback::ExtentEnd, every folio pinned and marked kFolioWriteback)
+  // as one device write on `lane`, credit each folio's owner cgroup with
+  // its writeback_pages, and end each folio's in-flight window. Returns the
+  // pages written. Takes no lock — it touches only atomics and the device —
+  // so FlushTick (cgroup lock held) and SyncFile (none) share it.
+  uint64_t WriteExtent(Lane& lane,
+                       std::span<const writeback::FlushItem> extent);
 
   // Readahead: called on a miss at `index`; returns how many extra pages to
   // prefetch after `last_requested`. Consults the ext policy's readahead
@@ -506,10 +506,6 @@ class PageCache {
   std::unordered_map<std::string, std::unique_ptr<AddressSpace>> files_
       CACHE_EXT_GUARDED_BY(registry_mu_);
   std::atomic<uint64_t> total_resident_{0};
-  // Real reclaimer threads (options_.reclaim.use_threads); null in the
-  // single-threaded simulators. Stopped in ~PageCache before
-  // ebr::Synchronize() and policy teardown.
-  std::unique_ptr<reclaim::ReclaimerPool> reclaimer_pool_;
 };
 
 }  // namespace cache_ext

@@ -15,10 +15,9 @@
 //    wall time at least one task spent stalled on reclaim and `full` is the
 //    subset where no forward progress was made at all).
 //
-//  - `ReclaimerPool` owns the real threads of the MT harness. In the
-//    single-threaded simulators there are no threads: the "lane" is purely
-//    virtual and is ticked synchronously at allocation sites, which models
-//    an always-prompt daemon (its CPU time still lands on its own clock).
+//  - There are no reclaimer threads: like the flusher, the page cache ticks
+//    the reclaimer lane synchronously at allocation sites, which models an
+//    always-prompt daemon on its own clock.
 //
 // Robustness contract (the reason this file exists, ISSUE 7):
 //  * Allocation NEVER blocks on a healthy reclaimer — it allocates from
@@ -38,12 +37,7 @@
 #define SRC_RECLAIM_RECLAIMER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 #include "src/cgroup/counters.h"
 #include "src/reclaim/watermarks.h"
@@ -57,15 +51,6 @@ struct ReclaimOptions {
   // ablation and the default) preserves the historical inline-only
   // behaviour: every over-limit allocation pays direct reclaim itself.
   bool background = false;
-  // Real reclaimer threads (MT harness). False = virtual lanes: the daemon
-  // is ticked synchronously at allocation sites in the single-threaded
-  // simulators, charging its work to its own virtual clock.
-  bool use_threads = false;
-  uint32_t nr_threads = 2;
-  // Thread poll period (microseconds of wall time) when no kick arrives;
-  // the backstop that keeps a cgroup draining even if every allocator
-  // gives up kicking a lane it believes stalled.
-  uint32_t thread_poll_us = 200;
   // Circuit-breaker feed: after this many CONSECUTIVE reclaim rounds where
   // the ext policy proposed nothing usable while the base-policy fallback
   // did evict, latch the watchdog detach (feeding the PR-2 PolicyManager
@@ -92,12 +77,9 @@ enum class TickOutcome : uint8_t {
   kDead,     // lane is dead: permanent no-op
 };
 
-// Per-cgroup reclaim control block. All state is relaxed atomics: the
-// heavy mutators (EnterTick, NoteBatch, NoteEmergencyEntry, NoteDirect) run
-// under the owning cgroup's lock, but ShouldWake is also called from the
-// ReclaimerPool's scan loop without it — a racy wake check at worst costs
-// one spurious kick, never a missed limit (the hard limit is enforced by
-// direct reclaim regardless).
+// Per-cgroup reclaim control block. Every mutator runs under the owning
+// cgroup's lock; the state stays relaxed atomics so the introspection
+// accessors below may be read without it.
 class CgroupReclaimControl {
  public:
   // `counters` is the owning cgroup's table storage; it must outlive the
@@ -224,49 +206,6 @@ class CgroupReclaimControl {
   std::atomic<uint32_t> probe_countdown_{0};
 
   std::atomic<uint32_t> ext_failure_streak_{0};
-};
-
-// The real reclaimer threads of the MT harness: N threads share the
-// registered cgroup tokens round-robin, each parked on a condvar and woken
-// by Kick() (or its poll-interval backstop). The pool knows nothing about
-// the page cache — it calls back with the opaque token; the owner locks the
-// cgroup and runs its BackgroundTick. Threads never touch tokens after
-// Stop(), and the owner must Stop()/join before tearing down what the
-// tokens point at (PageCache stops the pool before ebr::Synchronize()).
-class ReclaimerPool {
- public:
-  using TickFn = std::function<void(void*)>;
-
-  ReclaimerPool(const ReclaimOptions& options, TickFn tick);
-  ~ReclaimerPool();
-  ReclaimerPool(const ReclaimerPool&) = delete;
-  ReclaimerPool& operator=(const ReclaimerPool&) = delete;
-
-  // Register a cgroup token; assigned to a shard round-robin. Tokens are
-  // never unregistered individually — lifetime ends at Stop().
-  void Register(void* token);
-  // Wake the shard owning `token`. Cheap and async: allocation latency sees
-  // a mutex+condvar signal, never reclaim work.
-  void Kick(void* token);
-  // Join all threads. Idempotent; called by the destructor.
-  void Stop();
-
- private:
-  struct Shard {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<void*> tokens;
-    bool kicked = false;
-    std::thread thread;
-  };
-
-  void ThreadMain(Shard* shard);
-
-  ReclaimOptions options_;
-  TickFn tick_;
-  std::atomic<bool> stopping_{false};
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<size_t> next_shard_{0};
 };
 
 }  // namespace cache_ext::reclaim

@@ -25,26 +25,17 @@ void SortFlushItems(std::vector<FlushItem>& items) {
             });
 }
 
-std::vector<FlushExtent> SortAndCoalesce(std::vector<FlushItem> items,
-                                         uint32_t max_extent_pages) {
-  if (max_extent_pages == 0) {
-    max_extent_pages = 1;
+size_t ExtentEnd(std::span<const FlushItem> items, size_t begin,
+                 uint32_t max_extent_pages) {
+  size_t end = begin + 1;
+  uint64_t pages = items[begin].nr_pages;
+  while (end < items.size() && items[end].mapping == items[begin].mapping &&
+         items[end].index == items[end - 1].index + items[end - 1].nr_pages &&
+         pages + items[end].nr_pages <= max_extent_pages) {
+    pages += items[end].nr_pages;
+    ++end;
   }
-  SortFlushItems(items);
-  std::vector<FlushExtent> extents;
-  for (const FlushItem& item : items) {
-    if (!extents.empty()) {
-      FlushExtent& tail = extents.back();
-      if (tail.mapping == item.mapping &&
-          tail.index + tail.nr_pages == item.index &&
-          tail.nr_pages + item.nr_pages <= max_extent_pages) {
-        tail.nr_pages += item.nr_pages;
-        continue;
-      }
-    }
-    extents.push_back(FlushExtent{item.mapping, item.index, item.nr_pages});
-  }
-  return extents;
+  return end;
 }
 
 void CgroupFlushControl::NoteDirtied(AddressSpace* mapping, uint64_t nr) {

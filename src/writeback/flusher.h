@@ -17,11 +17,11 @@
 //    analogue) vs `ext_writeback_ns` (lane time actually writing). The
 //    dirty-page gauge is the table's `dirty_pages` row.
 //
-//  - `FlushItem`/`SortAndCoalesce` are the harvest/coalesce step: dirty
-//    folios collected under
-//    the stripe become sort-keyed items, and SortAndCoalesce() merges
-//    contiguous same-file runs into extents so one SubmitWrite covers a
-//    whole run (the block layer's request merging).
+//  - `FlushItem`/`SortFlushItems`/`ExtentEnd` are the harvest/coalesce
+//    step: dirty folios collected under the stripe become sort-keyed
+//    items, and ExtentEnd() finds where each contiguous same-file run ends
+//    so one SubmitWrite covers a whole run (the block layer's request
+//    merging). The background flusher and fsync both write through it.
 //
 //  - There are no flusher threads: the page cache ticks the flusher lane
 //    synchronously at dirtying sites, which models an always-prompt flusher
@@ -35,8 +35,10 @@
 #define SRC_WRITEBACK_FLUSHER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "src/cgroup/counters.h"
@@ -89,13 +91,6 @@ struct FlushItem {
   Folio* folio = nullptr;
 };
 
-// A contiguous per-file run of harvested pages: one device write.
-struct FlushExtent {
-  AddressSpace* mapping = nullptr;
-  uint64_t index = 0;
-  uint64_t nr_pages = 0;
-};
-
 // Sort items by (key, mapping, index): keyed items first in ascending key
 // order, then unkeyed ones (key < 0) in file offset order — a policy keying
 // only some folios still flushes those first. Ties break by (mapping,
@@ -103,10 +98,12 @@ struct FlushExtent {
 // regardless of harvest order.
 void SortFlushItems(std::vector<FlushItem>& items);
 
-// SortFlushItems + merge contiguous same-file runs into extents of at most
-// `max_extent_pages` pages each.
-std::vector<FlushExtent> SortAndCoalesce(std::vector<FlushItem> items,
-                                         uint32_t max_extent_pages);
+// Coalescing over items sorted by SortFlushItems: returns one past the last
+// item of the extent that starts at items[begin] — the contiguous same-file
+// run from `begin` that fits in `max_extent_pages` pages. Always > begin,
+// so a folio wider than the cap still goes out as its own extent.
+size_t ExtentEnd(std::span<const FlushItem> items, size_t begin,
+                 uint32_t max_extent_pages = kMaxExtentPages);
 
 // Per-cgroup flusher control block. Mutators on the dirty gauge run from
 // lockless hit paths, so everything is atomic; the dirty-file set has its

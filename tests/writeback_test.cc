@@ -27,7 +27,6 @@ namespace {
 
 using writeback::DirtyLimits;
 using writeback::DirtySpec;
-using writeback::FlushExtent;
 using writeback::FlushItem;
 
 // --- DirtyLimits ---------------------------------------------------------
@@ -71,8 +70,31 @@ TEST(DirtyLimitsTest, ThresholdPredicatesMatchDerivedPages) {
 }
 
 // --- Sort + coalesce -----------------------------------------------------
-// SortFlushItems/SortAndCoalesce never dereference the mapping of
-// same-mapping items, so a null mapping is a fine stand-in here.
+// SortFlushItems/ExtentEnd never dereference the mapping of same-mapping
+// items, so a null mapping is a fine stand-in here.
+
+struct Extent {
+  uint64_t index = 0;
+  uint64_t nr_pages = 0;
+};
+
+// The extents the flusher and fsync submit for `items`: sort, then cut
+// with ExtentEnd.
+std::vector<Extent> Coalesce(std::vector<FlushItem> items,
+                             uint32_t max_extent_pages) {
+  writeback::SortFlushItems(items);
+  std::vector<Extent> extents;
+  for (size_t i = 0; i < items.size();) {
+    const size_t end = writeback::ExtentEnd(items, i, max_extent_pages);
+    Extent extent{items[i].index, 0};
+    for (size_t k = i; k < end; ++k) {
+      extent.nr_pages += items[k].nr_pages;
+    }
+    extents.push_back(extent);
+    i = end;
+  }
+  return extents;
+}
 
 TEST(FlushPlanTest, KeyedItemsFlushFirstInKeyOrder) {
   std::vector<FlushItem> items = {
@@ -93,8 +115,7 @@ TEST(FlushPlanTest, CoalesceMergesContiguousRuns) {
   for (uint64_t idx : {16, 1, 9, 0, 3, 2, 8}) {
     items.push_back({nullptr, idx, 1, -1, nullptr});
   }
-  const std::vector<FlushExtent> extents =
-      writeback::SortAndCoalesce(std::move(items), 256);
+  const std::vector<Extent> extents = Coalesce(std::move(items), 256);
   ASSERT_EQ(extents.size(), 3u);
   EXPECT_EQ(extents[0].index, 0u);
   EXPECT_EQ(extents[0].nr_pages, 4u);  // 0..3
@@ -110,8 +131,7 @@ TEST(FlushPlanTest, CoalesceRespectsExtentCapAcrossFolioSpans) {
       {nullptr, 0, 4, -1, nullptr},
       {nullptr, 4, 4, -1, nullptr},
   };
-  const std::vector<FlushExtent> extents =
-      writeback::SortAndCoalesce(std::move(items), 8);
+  const std::vector<Extent> extents = Coalesce(std::move(items), 8);
   ASSERT_EQ(extents.size(), 2u);
   EXPECT_EQ(extents[0].index, 0u);
   EXPECT_EQ(extents[0].nr_pages, 8u);  // merged up to the cap
@@ -148,11 +168,13 @@ uint8_t PatternByte(uint64_t index) {
   return static_cast<uint8_t>(0x30 + (index * 7) % 97);
 }
 
-void WritePage(Rig& rig, Lane& lane, uint64_t index) {
+// Dirty page `index` of the rig's file, charged to `cg` (default: rig.cg).
+void WritePage(Rig& rig, Lane& lane, uint64_t index,
+               MemCgroup* cg = nullptr) {
   std::vector<uint8_t> buf(kPageSize, PatternByte(index));
   ASSERT_TRUE(rig.pc
-                  ->Write(lane, rig.as, rig.cg, index * kPageSize,
-                          std::span<const uint8_t>(buf))
+                  ->Write(lane, rig.as, cg != nullptr ? cg : rig.cg,
+                          index * kPageSize, std::span<const uint8_t>(buf))
                   .ok());
 }
 
@@ -212,6 +234,67 @@ TEST_F(WritebackTest, FsyncDrainsGaugeAndCoalescesContiguousPages) {
   // A second fsync with nothing dirty touches the device not at all.
   ASSERT_TRUE(rig->pc->SyncFile(lane, rig->as).ok());
   EXPECT_EQ(rig->ssd->total_writes(), writes_before + 1);
+}
+
+TEST_F(WritebackTest, FsyncCreditsEachOwnerCgroup) {
+  auto rig = MakeRig(PageCacheOptions{}, 256);
+  MemCgroup* other = rig->pc->CreateCgroup("/wb2", 256 * kPageSize);
+  Lane lane(0, TaskContext{1, 1}, 1);
+  // One file, two owners: pages 0..7 charged to /wb, 8..19 to /wb2.
+  for (uint64_t i = 0; i < 8; ++i) {
+    WritePage(*rig, lane, i);
+  }
+  for (uint64_t i = 8; i < 20; ++i) {
+    WritePage(*rig, lane, i, other);
+  }
+  EXPECT_EQ(rig->pc->StatsFor(rig->cg).dirty_pages, 8u);
+  EXPECT_EQ(rig->pc->StatsFor(other).dirty_pages, 12u);
+  const uint64_t writes_before = rig->ssd->total_writes();
+  ASSERT_TRUE(rig->pc->SyncFile(lane, rig->as).ok());
+  // The run is contiguous across owners, so it is one device write, but
+  // each cgroup is credited with its own folios and its gauge drains.
+  EXPECT_EQ(rig->ssd->total_writes(), writes_before + 1);
+  const CgroupCacheStats mine = rig->pc->StatsFor(rig->cg);
+  const CgroupCacheStats theirs = rig->pc->StatsFor(other);
+  EXPECT_EQ(mine.dirty_pages, 0u);
+  EXPECT_EQ(mine.writeback_pages, 8u);
+  EXPECT_EQ(mine.writeback_sync_entries, 1u);
+  EXPECT_EQ(theirs.dirty_pages, 0u);
+  EXPECT_EQ(theirs.writeback_pages, 12u);
+  EXPECT_EQ(theirs.writeback_sync_entries, 1u);
+}
+
+TEST_F(WritebackTest, FsyncSplitsRunsLongerThanTheExtentCap) {
+  auto rig = MakeRig(PageCacheOptions{}, 1024);
+  Lane lane(0, TaskContext{1, 1}, 1);
+  constexpr uint64_t kPages = 300;
+  static_assert(kPages > writeback::kMaxExtentPages &&
+                kPages <= 2 * writeback::kMaxExtentPages);
+  for (uint64_t i = 0; i < kPages; ++i) {
+    WritePage(*rig, lane, i);
+  }
+  const uint64_t writes_before = rig->ssd->total_writes();
+  ASSERT_TRUE(rig->pc->SyncFile(lane, rig->as).ok());
+  // One contiguous run, cut at kMaxExtentPages: exactly two device writes.
+  EXPECT_EQ(rig->ssd->total_writes(), writes_before + 2);
+  const CgroupCacheStats stats = rig->pc->StatsFor(rig->cg);
+  EXPECT_EQ(stats.dirty_pages, 0u);
+  EXPECT_EQ(stats.writeback_pages, kPages);
+}
+
+TEST_F(WritebackTest, FsyncStartsANewExtentAtEachGap) {
+  auto rig = MakeRig(PageCacheOptions{}, 256);
+  Lane lane(0, TaskContext{1, 1}, 1);
+  for (uint64_t i : {0, 1, 2, 3, 10, 11, 12, 40}) {
+    WritePage(*rig, lane, i);
+  }
+  const uint64_t writes_before = rig->ssd->total_writes();
+  ASSERT_TRUE(rig->pc->SyncFile(lane, rig->as).ok());
+  // Runs 0..3, 10..12 and 40: three device writes.
+  EXPECT_EQ(rig->ssd->total_writes(), writes_before + 3);
+  const CgroupCacheStats stats = rig->pc->StatsFor(rig->cg);
+  EXPECT_EQ(stats.dirty_pages, 0u);
+  EXPECT_EQ(stats.writeback_pages, 8u);
 }
 
 TEST_F(WritebackTest, BackgroundOffNeverWakesTheFlusher) {

@@ -11,8 +11,10 @@
 #   tools/check.sh --tsan       # ThreadSanitizer build, MT stress tests
 #                               # (concurrency_test — incl. the IR hook
 #                               # dispatch storms on both backends — +
-#                               # ebr_test + reclaim_test's reclaimer-thread
-#                               # races) + a bench_mt_scaling run (report in
+#                               # ebr_test + reclaim_test's allocator-vs-
+#                               # policy-churn races + writeback_test's
+#                               # concurrent fsyncs) + a bench_mt_scaling
+#                               # run (report in
 #                               # build/BENCH_mt_scaling.json) + an
 #                               # ir_lfu-on-every-lane scaling check
 #   tools/check.sh --bench-smoke  # quick bench_table4_noop_overhead,
@@ -87,10 +89,11 @@ if [[ "$tsan" == 1 ]]; then
   echo "== tsan: ThreadSanitizer build + MT stress tests (build-tsan/) =="
   cmake -B build-tsan -DCACHE_EXT_SANITIZE=thread \
       -DCMAKE_CXX_FLAGS=-Werror >/dev/null
-  cmake --build build-tsan -j "$jobs" --target concurrency_test ebr_test reclaim_test bench_mt_scaling
+  cmake --build build-tsan -j "$jobs" --target concurrency_test ebr_test reclaim_test writeback_test bench_mt_scaling
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/concurrency_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/ebr_test
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/reclaim_test
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/writeback_test
   echo "== tsan: MT scaling run (regular build) =="
   cmake -B build -DCMAKE_CXX_FLAGS=-Werror >/dev/null
   cmake --build build -j "$jobs" --target bench_mt_scaling
