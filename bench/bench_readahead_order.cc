@@ -17,12 +17,10 @@
 //
 // Arms differ ONLY in the admit_order answer (0 vs 4); both attach the
 // same fixed 16-page readahead window, so the folio order is the isolated
-// variable. A `locked` ablation re-runs the 8-thread random points with
-// `lockless_reads = false` to show multi-order sibling lookups still ride
-// the lock-free hit path.
+// variable. Every hit, order-0 or a multi-order sibling lookup, takes the
+// lock-free hit path.
 //
-// Emits bench-smoke points `<wl>_<arm>_<K>t[_locked]` (aggregate virtual
-// ns/op) for tools/check.sh --bench-smoke; `--check` enforces the PR
+// Emits bench-smoke points `<wl>_<arm>_<K>t` (aggregate virtual ns/op) for tools/check.sh --bench-smoke; `--check` enforces the PR
 // acceptance bars: streaming order-4 >= 1.3x order-0 throughput (1t) and
 // random-KV order-4 <= 1.05x order-0 ns/op (1t).
 //
@@ -94,8 +92,8 @@ struct Rig {
   uint64_t base_ns = 0;  // virtual time after preload; lanes start here
 };
 
-std::unique_ptr<Rig> MakeRig(uint32_t order, bool lockless,
-                             uint64_t file_pages, bool preload) {
+std::unique_ptr<Rig> MakeRig(uint32_t order, uint64_t file_pages,
+                             bool preload) {
   auto rig = std::make_unique<Rig>();
   rig->file_pages = file_pages;
   // A device where fixed per-request latency dominates transfer time
@@ -108,7 +106,6 @@ std::unique_ptr<Rig> MakeRig(uint32_t order, bool lockless,
   ssd_options.bytes_per_us = 8000;
   rig->ssd = std::make_unique<SsdModel>(ssd_options);
   PageCacheOptions options;
-  options.lockless_reads = lockless;
   options.max_readahead_pages = 64;  // clamp far above the policy window
   rig->pc = std::make_unique<PageCache>(&rig->disk, rig->ssd.get(), options);
   rig->loader = std::make_unique<CacheExtLoader>(rig->pc.get());
@@ -180,7 +177,7 @@ Point Finish(std::string name, Rig& rig, uint64_t total_ops,
 // Streaming: cold cache, each thread owns a disjoint segment and reads it
 // front to back, one page per op.
 Point RunStream(uint32_t order, int nr_threads, uint64_t file_pages) {
-  auto rig = MakeRig(order, /*lockless=*/true, file_pages, /*preload=*/false);
+  auto rig = MakeRig(order, file_pages, /*preload=*/false);
   const uint64_t seg =
       file_pages / static_cast<uint64_t>(nr_threads);
   std::vector<uint64_t> lane_ns(static_cast<size_t>(nr_threads), 0);
@@ -223,8 +220,8 @@ Point RunStream(uint32_t order, int nr_threads, uint64_t file_pages) {
 
 // Random-KV: fully-resident file, random single-page reads (100% hits).
 Point RunRandom(uint32_t order, int nr_threads, uint64_t file_pages,
-                uint64_t ops_per_thread, bool lockless) {
-  auto rig = MakeRig(order, lockless, file_pages, /*preload=*/true);
+                uint64_t ops_per_thread) {
+  auto rig = MakeRig(order, file_pages, /*preload=*/true);
   std::vector<uint64_t> lane_ns(static_cast<size_t>(nr_threads), 0);
   std::atomic<bool> ok{true};
   const auto wall_start = std::chrono::steady_clock::now();
@@ -262,8 +259,7 @@ Point RunRandom(uint32_t order, int nr_threads, uint64_t file_pages,
     std::exit(1);
   }
   return Finish("rand_order" + std::to_string(order) + "_" +
-                    std::to_string(nr_threads) + "t" +
-                    (lockless ? "" : "_locked"),
+                    std::to_string(nr_threads) + "t",
                 *rig,
                 ops_per_thread * static_cast<uint64_t>(nr_threads), lane_ns,
                 wall_s);
@@ -302,14 +298,8 @@ int Main(int argc, char** argv) {
   }
   for (uint32_t order : {0u, 4u}) {
     for (int k : thread_counts) {
-      points.push_back(
-          RunRandom(order, k, file_pages, rand_ops, /*lockless=*/true));
+      points.push_back(RunRandom(order, k, file_pages, rand_ops));
     }
-  }
-  // Lockless ablation: 8-thread random hits with the locked hit path.
-  for (uint32_t order : {0u, 4u}) {
-    points.push_back(
-        RunRandom(order, 8, file_pages, rand_ops, /*lockless=*/false));
   }
 
   harness::Table table(
@@ -380,12 +370,10 @@ int Main(int argc, char** argv) {
                            find("stream_order0_8t").virtual_tput;
   const double rand_1t = find("rand_order4_1t").aggregate_ns_per_op /
                          find("rand_order0_1t").aggregate_ns_per_op;
-  const double ablation_8t = find("rand_order4_8t").virtual_tput /
-                             find("rand_order4_8t_locked").virtual_tput;
   std::printf(
       "order-4 vs order-0 streaming tput: %.2fx @1t, %.2fx @8t; "
-      "random-KV 1t ns/op ratio: %.3f; lockless vs locked @8t: %.2fx\n",
-      stream_1t, stream_8t, rand_1t, ablation_8t);
+      "random-KV 1t ns/op ratio: %.3f\n",
+      stream_1t, stream_8t, rand_1t);
   if (opts.check) {
     // PR acceptance: order-4 streaming >= 1.3x order-0, and multi-order
     // hits must not slow the single-threaded random path by > 5%.

@@ -120,7 +120,7 @@ enum class CounterLayer : uint8_t {
   X(writeback_flush_ticks, kCount, kWriteback,                                \
     "flusher ticks that wrote pages")                                         \
   X(writeback_extents, kCount, kWriteback,                                    \
-    "coalesced extents the flusher wrote")                                    \
+    "device writes of writeback_pages (eviction, fsync and flusher)")         \
   X(writeback_deferred_pages, kPages, kWriteback,                             \
     "dirty pages a should_writeback hook kept back")                          \
   X(writeback_throttle_entries, kCount, kWriteback,                           \

@@ -403,21 +403,12 @@ Folio* PageCache::InsertFolio(Lane& lane, AddressSpace* as, CgroupState& st,
   MemCgroup* cg = st.cg.get();
   Stripe& stripe = StripeFor(as);
 
-  // First presence probe: lock-free in the default mode (the populated-
-  // while-we-missed case is common under readahead); the second probe
-  // below, under the stripe, is authoritative either way.
-  if (options_.lockless_reads) {
-    if (Folio* existing = LocklessLookup(as, index, st); existing != nullptr) {
-      *already_present = true;
-      return existing;
-    }
-  } else {
-    MutexLock s(stripe.mu);
-    if (Folio* existing = as->FindFolio(index); existing != nullptr) {
-      existing->Pin();
-      *already_present = true;
-      return existing;
-    }
+  // First presence probe, lock-free (the populated-while-we-missed case is
+  // common under readahead); the second probe below, under the stripe, is
+  // authoritative.
+  if (Folio* existing = LocklessLookup(as, index, st); existing != nullptr) {
+    *already_present = true;
+    return existing;
   }
 
   // Admission filter (§5.6): only consulted for folios not yet present, and
@@ -572,6 +563,7 @@ bool PageCache::RemoveFolio(Lane& lane, CgroupState& st, AddressSpace* as,
       as->NoteWritebackCompletion(completion);
       as->wb_seq_done.fetch_add(1, std::memory_order_release);
       st.counters.Add(CgroupCounter::writeback_pages, nr);
+      st.counters.Add(CgroupCounter::writeback_extents);
     }
 
     XEntry shadow = XEntry::Empty();
@@ -669,6 +661,7 @@ void PageCache::InvalidateForDontNeed(Lane& lane, CgroupState& st,
       lane.Charge(dropped * options_.costs.writeback_page_ns);
       as->NoteWritebackCompletion(completion);
       st.counters.Add(CgroupCounter::writeback_pages, dropped);
+      st.counters.Add(CgroupCounter::writeback_extents);
     }
   }
   st.counters.Add(CgroupCounter::ext_order_splits);
@@ -1071,7 +1064,7 @@ void PageCache::FlushTick(CgroupState& st, DispatchBatch* batch,
     items[k].folio->Unpin();
   }
   if (pages > 0) {
-    fc.NoteFlush(extents);
+    fc.NoteFlush();
   }
   fc.NoteWritebackNs(wlane.now_ns() - start_ns);
   if (dl.TargetReached(fc.nr_dirty())) {
@@ -1090,10 +1083,22 @@ uint64_t PageCache::WriteExtent(Lane& lane,
       ssd_->SubmitWrite(lane.now_ns(), pages * kPageSize);
   lane.Charge(pages * options_.costs.writeback_page_ns);
   as->NoteWritebackCompletion(completion);
-  for (const writeback::FlushItem& item : extent) {
-    if (CgroupState* owner = StateFor(item.folio->memcg); owner != nullptr) {
-      owner->counters.Add(CgroupCounter::writeback_pages, item.nr_pages);
+  for (size_t k = 0; k < extent.size(); ++k) {
+    MemCgroup* memcg = extent[k].folio->memcg;
+    CgroupState* owner = StateFor(memcg);
+    if (owner == nullptr) {
+      continue;
     }
+    owner->counters.Add(CgroupCounter::writeback_pages, extent[k].nr_pages);
+    // The device write counts once for each owner, at its first folio.
+    if (std::none_of(extent.begin(), extent.begin() + k,
+                     [memcg](const writeback::FlushItem& prev) {
+                       return prev.folio->memcg == memcg;
+                     })) {
+      owner->counters.Add(CgroupCounter::writeback_extents);
+    }
+  }
+  for (const writeback::FlushItem& item : extent) {
     item.folio->ClearFlag(kFolioWriteback);
     as->wb_seq_done.fetch_add(1, std::memory_order_release);
     item.folio->Unpin();
@@ -1271,29 +1276,11 @@ Status PageCache::Read(Lane& lane, AddressSpace* as, MemCgroup* cg,
 
   uint64_t index = first;
   while (index <= last) {
-    // Hit check. Default mode: lock-free xarray walk + speculative TryPin
-    // under an ebr::Guard (filemap_get_folio under rcu_read_lock) — the
-    // stripe is never required for a hit. Ablation (lockless_reads=false):
-    // the whole hit service runs under the stripe, whose virtual-time
-    // frontier serializes hits across lanes the way a contended xa_lock
-    // serializes real CPUs.
-    Folio* hit = nullptr;
-    if (options_.lockless_reads) {
-      hit = LocklessLookup(as, index, *st);
-      if (hit != nullptr) {
-        lane.Charge(options_.costs.hit_ns);
-      }
-    } else {
-      MutexLock s(stripe.mu);
-      lane.AdvanceTo(stripe.frontier_ns);  // wait for the previous holder
-      hit = as->FindFolio(index);
-      if (hit != nullptr) {
-        hit->Pin();  // guard across the stripe release, until the ring pins
-        lane.Charge(options_.costs.hit_ns);
-        stripe.frontier_ns = lane.now_ns();
-      }
-    }
-    if (hit != nullptr) {
+    // Hit check: lock-free xarray walk + speculative TryPin under an
+    // ebr::Guard (filemap_get_folio under rcu_read_lock) — the stripe is
+    // never required for a hit.
+    if (Folio* hit = LocklessLookup(as, index, *st); hit != nullptr) {
+      lane.Charge(options_.costs.hit_ns);
       // Hit. Metadata updates go to the *owning* cgroup's policy, which may
       // differ from the reader's cgroup (§2.1 cross-cgroup semantics); the
       // notification is buffered and dispatched under the owner's lock at

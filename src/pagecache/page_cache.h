@@ -110,13 +110,6 @@ struct PageCacheOptions {
   // `writeback.background=false` ablation. Off by default — dirty folios
   // are only written back by fsync or at eviction time, inline.
   writeback::WritebackOptions writeback;
-  // Serve read hits lock-free (EBR guard + TryPin + revalidate, the
-  // filemap_get_folio fast path). When false — the `--locked-reads`
-  // ablation — every hit takes the mapping stripe for the full hit service
-  // and the stripe behaves as a serializing resource in virtual time (its
-  // frontier orders the hits of all lanes), modelling what a stripe-locked
-  // hit path costs under contention.
-  bool lockless_reads = true;
 };
 
 // Per-cgroup snapshot of counters that live inside the page cache (the
@@ -295,12 +288,6 @@ class PageCache {
 
   struct alignas(64) Stripe {
     Mutex mu;
-    // Virtual-time frontier of the stripe as a serializing resource: only
-    // the `lockless_reads = false` ablation uses it, making each locked
-    // hit wait (in virtual time) for the previous hit on the same stripe —
-    // the contention a real xa_lock imposes that per-lane virtual clocks
-    // cannot otherwise see. The default lockless mode never touches it.
-    uint64_t frontier_ns CACHE_EXT_GUARDED_BY(mu) = 0;
   };
 
   Stripe& StripeFor(const AddressSpace* as) {
@@ -452,7 +439,8 @@ class PageCache {
   // Submit one extent of a sorted harvest (a run cut by
   // writeback::ExtentEnd, every folio pinned and marked kFolioWriteback)
   // as one device write on `lane`, credit each folio's owner cgroup with
-  // its writeback_pages, and end each folio's in-flight window. Returns the
+  // its writeback_pages and the write (once per owner) in
+  // writeback_extents, and end each folio's in-flight window. Returns the
   // pages written. Takes no lock — it touches only atomics and the device —
   // so FlushTick (cgroup lock held) and SyncFile (none) share it.
   uint64_t WriteExtent(Lane& lane,

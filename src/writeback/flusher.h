@@ -167,10 +167,7 @@ class CgroupFlushControl {
   std::vector<AddressSpace*> TakeDirtyFiles();
   void RequeueDirtyFile(AddressSpace* mapping);
 
-  void NoteFlush(uint64_t extents) {
-    counters_.Add(CgroupCounter::writeback_flush_ticks);
-    counters_.Add(CgroupCounter::writeback_extents, extents);
-  }
+  void NoteFlush() { counters_.Add(CgroupCounter::writeback_flush_ticks); }
   void NoteDeferred(uint64_t pages) {
     counters_.Add(CgroupCounter::writeback_deferred_pages, pages);
   }

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -35,17 +34,11 @@ Ops OrderOps(std::string name, uint32_t order) {
 
 class FolioOrderTest : public ::testing::Test {
  protected:
-  FolioOrderTest() { Reset(/*lockless_reads=*/true); }
-
-  // A fresh disk, device and cache whose read hits take the given path.
-  void Reset(bool lockless_reads) {
-    loader_.reset();
-    pc_.reset();
+  FolioOrderTest() {
     disk_ = std::make_unique<SimDisk>();
     ssd_ = std::make_unique<SsdModel>();
     PageCacheOptions options;
     options.max_readahead_pages = 8;
-    options.lockless_reads = lockless_reads;
     pc_ = std::make_unique<PageCache>(disk_.get(), ssd_.get(), options);
     loader_ = std::make_unique<CacheExtLoader>(pc_.get());
     cg_ = pc_->CreateCgroup("/order", 512 * kPageSize);
@@ -53,17 +46,6 @@ class FolioOrderTest : public ::testing::Test {
     CHECK(as.ok());
     as_ = *as;
     CHECK(disk_->Truncate(as_->file(), 2048 * kPageSize).ok());
-  }
-
-  // Runs `body` on a fresh cache once per hit path: lockless (the default)
-  // and stripe-locked (the lockless_reads = false ablation that
-  // bench_readahead_order measures).
-  void ForEachReadPath(const std::function<void()>& body) {
-    for (const bool lockless : {true, false}) {
-      SCOPED_TRACE(lockless ? "lockless reads" : "locked reads");
-      Reset(lockless);
-      body();
-    }
   }
 
   void TearDown() override { fault::FaultInjector::Global().DisarmAll(); }
@@ -84,56 +66,52 @@ class FolioOrderTest : public ::testing::Test {
 };
 
 TEST_F(FolioOrderTest, Order4MissFaultsWholeSpan) {
-  ForEachReadPath([&] {
-    ASSERT_TRUE(loader_->Attach(cg_, OrderOps("o4", 4)).ok());
-    Lane lane(0, TaskContext{1, 1}, 1);
-    ReadPage(lane, 0);
-    Folio* head = as_->FindFolio(0);
-    ASSERT_NE(head, nullptr);
-    EXPECT_EQ(head->order, 4);
-    EXPECT_EQ(head->nr_pages(), 16u);
-    // A mid-span lookup resolves to the same folio; the whole span is
-    // resident and charged.
-    EXPECT_EQ(as_->FindFolio(15), head);
-    EXPECT_EQ(as_->FindFolio(16), nullptr);
-    EXPECT_EQ(cg_->charged_pages(), 16u);
-    auto stats = pc_->StatsFor(cg_);
-    EXPECT_EQ(stats.ext_order_folios, 1u);
-    EXPECT_EQ(stats.ext_order_pages, 16u);
-    EXPECT_EQ(cg_->stat_misses.load(), 1u);
+  ASSERT_TRUE(loader_->Attach(cg_, OrderOps("o4", 4)).ok());
+  Lane lane(0, TaskContext{1, 1}, 1);
+  ReadPage(lane, 0);
+  Folio* head = as_->FindFolio(0);
+  ASSERT_NE(head, nullptr);
+  EXPECT_EQ(head->order, 4);
+  EXPECT_EQ(head->nr_pages(), 16u);
+  // A mid-span lookup resolves to the same folio; the whole span is
+  // resident and charged.
+  EXPECT_EQ(as_->FindFolio(15), head);
+  EXPECT_EQ(as_->FindFolio(16), nullptr);
+  EXPECT_EQ(cg_->charged_pages(), 16u);
+  auto stats = pc_->StatsFor(cg_);
+  EXPECT_EQ(stats.ext_order_folios, 1u);
+  EXPECT_EQ(stats.ext_order_pages, 16u);
+  EXPECT_EQ(cg_->stat_misses.load(), 1u);
 
-    // The rest of the span now hits without further misses — ONE hit event
-    // per folio per read call, not one per page.
-    ReadPage(lane, 7);
-    ReadPage(lane, 12);
-    EXPECT_EQ(cg_->stat_misses.load(), 1u);
-    EXPECT_EQ(cg_->stat_hits.load(), 2u);
-  });
+  // The rest of the span now hits without further misses — ONE hit event
+  // per folio per read call, not one per page.
+  ReadPage(lane, 7);
+  ReadPage(lane, 12);
+  EXPECT_EQ(cg_->stat_misses.load(), 1u);
+  EXPECT_EQ(cg_->stat_hits.load(), 2u);
 }
 
 TEST_F(FolioOrderTest, Order4SpanReadsBackDiskContents) {
-  ForEachReadPath([&] {
-    // Data integrity across the span: bytes written through the write path
-    // land in the right pages of a multi-order folio.
-    ASSERT_TRUE(loader_->Attach(cg_, OrderOps("o4", 4)).ok());
-    Lane lane(0, TaskContext{1, 1}, 1);
-    const std::string payload = "span-page-five";
-    ASSERT_TRUE(pc_->Write(lane, as_, cg_, 5 * kPageSize + 7,
-                           std::span<const uint8_t>(
-                               reinterpret_cast<const uint8_t*>(payload.data()),
-                               payload.size()))
-                    .ok());
-    ASSERT_TRUE(pc_->SyncFile(lane, as_).ok());
-    // Drop everything, then fault the span back in via a read.
-    ASSERT_TRUE(pc_->FadviseRange(lane, as_, cg_, Fadvise::kDontNeed, 0,
-                                  2048 * kPageSize)
-                    .ok());
-    std::vector<uint8_t> buf(payload.size());
-    ASSERT_TRUE(pc_->Read(lane, as_, cg_, 5 * kPageSize + 7,
-                          std::span<uint8_t>(buf))
-                    .ok());
-    EXPECT_EQ(std::string(buf.begin(), buf.end()), payload);
-  });
+  // Data integrity across the span: bytes written through the write path
+  // land in the right pages of a multi-order folio.
+  ASSERT_TRUE(loader_->Attach(cg_, OrderOps("o4", 4)).ok());
+  Lane lane(0, TaskContext{1, 1}, 1);
+  const std::string payload = "span-page-five";
+  ASSERT_TRUE(pc_->Write(lane, as_, cg_, 5 * kPageSize + 7,
+                         std::span<const uint8_t>(
+                             reinterpret_cast<const uint8_t*>(payload.data()),
+                             payload.size()))
+                  .ok());
+  ASSERT_TRUE(pc_->SyncFile(lane, as_).ok());
+  // Drop everything, then fault the span back in via a read.
+  ASSERT_TRUE(pc_->FadviseRange(lane, as_, cg_, Fadvise::kDontNeed, 0,
+                                2048 * kPageSize)
+                  .ok());
+  std::vector<uint8_t> buf(payload.size());
+  ASSERT_TRUE(pc_->Read(lane, as_, cg_, 5 * kPageSize + 7,
+                        std::span<uint8_t>(buf))
+                  .ok());
+  EXPECT_EQ(std::string(buf.begin(), buf.end()), payload);
 }
 
 TEST_F(FolioOrderTest, MisalignedIndexFallsBackToOrder0) {
@@ -219,36 +197,34 @@ TEST_F(FolioOrderTest, EofOverrunFallsBackToOrder0) {
 }
 
 TEST_F(FolioOrderTest, DontNeedMidSpanSplitsFolio) {
-  ForEachReadPath([&] {
-    ASSERT_TRUE(loader_->Attach(cg_, OrderOps("o4", 4)).ok());
-    Lane lane(0, TaskContext{1, 1}, 1);
-    ReadPage(lane, 0);
-    ASSERT_EQ(as_->FindFolio(0)->nr_pages(), 16u);
+  ASSERT_TRUE(loader_->Attach(cg_, OrderOps("o4", 4)).ok());
+  Lane lane(0, TaskContext{1, 1}, 1);
+  ReadPage(lane, 0);
+  ASSERT_EQ(as_->FindFolio(0)->nr_pages(), 16u);
 
-    // Drop the middle [4, 8) of the order-4 folio: the folio is split — the
-    // dropped subpages go away, the kept ones survive as order-0 folios.
-    ASSERT_TRUE(pc_->FadviseRange(lane, as_, cg_, Fadvise::kDontNeed,
-                                  4 * kPageSize, 4 * kPageSize)
-                    .ok());
-    EXPECT_EQ(as_->FindFolio(5), nullptr);
-    Folio* kept_low = as_->FindFolio(2);
-    Folio* kept_high = as_->FindFolio(12);
-    ASSERT_NE(kept_low, nullptr);
-    ASSERT_NE(kept_high, nullptr);
-    EXPECT_EQ(kept_low->nr_pages(), 1u);
-    EXPECT_EQ(kept_high->nr_pages(), 1u);
-    auto stats = pc_->StatsFor(cg_);
-    EXPECT_EQ(stats.ext_order_splits, 1u);
-    // 16 charged at fault, 4 dropped by the invalidate.
-    EXPECT_EQ(cg_->charged_pages(), 12u);
+  // Drop the middle [4, 8) of the order-4 folio: the folio is split — the
+  // dropped subpages go away, the kept ones survive as order-0 folios.
+  ASSERT_TRUE(pc_->FadviseRange(lane, as_, cg_, Fadvise::kDontNeed,
+                                4 * kPageSize, 4 * kPageSize)
+                  .ok());
+  EXPECT_EQ(as_->FindFolio(5), nullptr);
+  Folio* kept_low = as_->FindFolio(2);
+  Folio* kept_high = as_->FindFolio(12);
+  ASSERT_NE(kept_low, nullptr);
+  ASSERT_NE(kept_high, nullptr);
+  EXPECT_EQ(kept_low->nr_pages(), 1u);
+  EXPECT_EQ(kept_high->nr_pages(), 1u);
+  auto stats = pc_->StatsFor(cg_);
+  EXPECT_EQ(stats.ext_order_splits, 1u);
+  // 16 charged at fault, 4 dropped by the invalidate.
+  EXPECT_EQ(cg_->charged_pages(), 12u);
 
-    // Kept pages still serve reads as hits; dropped pages re-fault.
-    const uint64_t misses_before = cg_->stat_misses.load();
-    ReadPage(lane, 2);
-    EXPECT_EQ(cg_->stat_misses.load(), misses_before);
-    ReadPage(lane, 5);
-    EXPECT_EQ(cg_->stat_misses.load(), misses_before + 1);
-  });
+  // Kept pages still serve reads as hits; dropped pages re-fault.
+  const uint64_t misses_before = cg_->stat_misses.load();
+  ReadPage(lane, 2);
+  EXPECT_EQ(cg_->stat_misses.load(), misses_before);
+  ReadPage(lane, 5);
+  EXPECT_EQ(cg_->stat_misses.load(), misses_before + 1);
 }
 
 TEST_F(FolioOrderTest, DontNeedWholeSpanDropsItWithoutSplit) {

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,11 +15,7 @@ namespace {
 
 class PageCacheTest : public ::testing::Test {
  protected:
-  PageCacheTest() { Reset(/*lockless_reads=*/true); }
-
-  // A fresh disk, device and cache whose read hits take the given path.
-  void Reset(bool lockless_reads) {
-    pc_.reset();
+  PageCacheTest() {
     disk_ = std::make_unique<SimDisk>();
     SsdModelOptions ssd_options;
     ssd_options.channels = 2;
@@ -30,20 +25,8 @@ class PageCacheTest : public ::testing::Test {
     ssd_ = std::make_unique<SsdModel>(ssd_options);
     PageCacheOptions options;
     options.max_readahead_pages = 4;
-    options.lockless_reads = lockless_reads;
     pc_ = std::make_unique<PageCache>(disk_.get(), ssd_.get(), options);
     cg_ = pc_->CreateCgroup("/test", 64 * kPageSize);
-  }
-
-  // Runs `body` on a fresh cache once per hit path: lockless (the default)
-  // and stripe-locked (the lockless_reads = false ablation that
-  // bench_lockless_reads and bench_readahead_order measure).
-  void ForEachReadPath(const std::function<void()>& body) {
-    for (const bool lockless : {true, false}) {
-      SCOPED_TRACE(lockless ? "lockless reads" : "locked reads");
-      Reset(lockless);
-      body();
-    }
   }
 
   Lane MakeLane(int id = 0) {
@@ -76,14 +59,12 @@ class PageCacheTest : public ::testing::Test {
 };
 
 TEST_F(PageCacheTest, WriteThenReadRoundTrip) {
-  ForEachReadPath([&] {
-    Lane lane = MakeLane();
-    auto as = pc_->OpenFile("/f");
-    ASSERT_TRUE(as.ok());
-    WriteString(lane, *as, 0, "hello page cache");
-    EXPECT_EQ(ReadString(lane, *as, 0, 16), "hello page cache");
-    EXPECT_EQ(ReadString(lane, *as, 6, 4), "page");
-  });
+  Lane lane = MakeLane();
+  auto as = pc_->OpenFile("/f");
+  ASSERT_TRUE(as.ok());
+  WriteString(lane, *as, 0, "hello page cache");
+  EXPECT_EQ(ReadString(lane, *as, 0, 16), "hello page cache");
+  EXPECT_EQ(ReadString(lane, *as, 6, 4), "page");
 }
 
 TEST_F(PageCacheTest, OpenFileIsIdempotent) {
@@ -95,40 +76,36 @@ TEST_F(PageCacheTest, OpenFileIsIdempotent) {
 }
 
 TEST_F(PageCacheTest, MissThenHitAccounting) {
-  ForEachReadPath([&] {
-    Lane lane = MakeLane();
-    auto as = pc_->OpenFile("/f");
-    ASSERT_TRUE(as.ok());
-    WriteString(lane, *as, 0, std::string(kPageSize, 'x'));
-    cg_->ResetStats();
+  Lane lane = MakeLane();
+  auto as = pc_->OpenFile("/f");
+  ASSERT_TRUE(as.ok());
+  WriteString(lane, *as, 0, std::string(kPageSize, 'x'));
+  cg_->ResetStats();
 
-    ReadString(lane, *as, 0, 100);  // hit (page resident from the write)
-    EXPECT_EQ(cg_->stat_hits.load(), 1u);
-    EXPECT_EQ(cg_->stat_misses.load(), 0u);
+  ReadString(lane, *as, 0, 100);  // hit (page resident from the write)
+  EXPECT_EQ(cg_->stat_hits.load(), 1u);
+  EXPECT_EQ(cg_->stat_misses.load(), 0u);
 
-    ReadString(lane, *as, 8 * kPageSize, 100);  // miss (beyond extent, zeroes)
-    EXPECT_EQ(cg_->stat_misses.load(), 1u);
-  });
+  ReadString(lane, *as, 8 * kPageSize, 100);  // miss (beyond extent, zeroes)
+  EXPECT_EQ(cg_->stat_misses.load(), 1u);
 }
 
 TEST_F(PageCacheTest, MissChargesDeviceTimeHitDoesNot) {
-  ForEachReadPath([&] {
-    Lane lane = MakeLane();
-    auto as = pc_->OpenFile("/f");
-    ASSERT_TRUE(as.ok());
-    ASSERT_TRUE(disk_->Truncate((*as)->file(), 16 * kPageSize).ok());
+  Lane lane = MakeLane();
+  auto as = pc_->OpenFile("/f");
+  ASSERT_TRUE(as.ok());
+  ASSERT_TRUE(disk_->Truncate((*as)->file(), 16 * kPageSize).ok());
 
-    const uint64_t before_miss = lane.now_ns();
-    ReadString(lane, *as, 0, 64);
-    const uint64_t miss_cost = lane.now_ns() - before_miss;
-    EXPECT_GE(miss_cost, 1000u);  // at least the device base latency
+  const uint64_t before_miss = lane.now_ns();
+  ReadString(lane, *as, 0, 64);
+  const uint64_t miss_cost = lane.now_ns() - before_miss;
+  EXPECT_GE(miss_cost, 1000u);  // at least the device base latency
 
-    const uint64_t before_hit = lane.now_ns();
-    ReadString(lane, *as, 0, 64);
-    const uint64_t hit_cost = lane.now_ns() - before_hit;
-    EXPECT_LT(hit_cost, 2000u);  // pure CPU (syscall + hit + hook costs)
-    EXPECT_LT(hit_cost, miss_cost);
-  });
+  const uint64_t before_hit = lane.now_ns();
+  ReadString(lane, *as, 0, 64);
+  const uint64_t hit_cost = lane.now_ns() - before_hit;
+  EXPECT_LT(hit_cost, 2000u);  // pure CPU (syscall + hit + hook costs)
+  EXPECT_LT(hit_cost, miss_cost);
 }
 
 TEST_F(PageCacheTest, ContiguousMissesBatchIntoOneDeviceRead) {
@@ -161,21 +138,19 @@ TEST_F(PageCacheTest, CgroupLimitEnforcedViaReclaim) {
 }
 
 TEST_F(PageCacheTest, DirtyFoliosWrittenBackOnEviction) {
-  ForEachReadPath([&] {
-    Lane lane = MakeLane();
-    auto as = pc_->OpenFile("/f");
-    ASSERT_TRUE(as.ok());
-    // Dirty 3x the limit; evictions must flush to the device.
-    const std::string page(kPageSize, 'd');
-    for (uint64_t i = 0; i < 192; ++i) {
-      WriteString(lane, *as, i * kPageSize, page);
-    }
-    EXPECT_GT(ssd_->total_writes(), 0u);
-    const CgroupCacheStats stats = pc_->StatsFor(cg_);
-    EXPECT_GT(stats.writeback_pages, 0u);
-    // Data integrity after writeback + eviction.
-    EXPECT_EQ(ReadString(lane, *as, 0, kPageSize), page);
-  });
+  Lane lane = MakeLane();
+  auto as = pc_->OpenFile("/f");
+  ASSERT_TRUE(as.ok());
+  // Dirty 3x the limit; evictions must flush to the device.
+  const std::string page(kPageSize, 'd');
+  for (uint64_t i = 0; i < 192; ++i) {
+    WriteString(lane, *as, i * kPageSize, page);
+  }
+  EXPECT_GT(ssd_->total_writes(), 0u);
+  const CgroupCacheStats stats = pc_->StatsFor(cg_);
+  EXPECT_GT(stats.writeback_pages, 0u);
+  // Data integrity after writeback + eviction.
+  EXPECT_EQ(ReadString(lane, *as, 0, kPageSize), page);
 }
 
 TEST_F(PageCacheTest, SyncFileFlushesDirtyPages) {
@@ -194,20 +169,18 @@ TEST_F(PageCacheTest, SyncFileFlushesDirtyPages) {
 }
 
 TEST_F(PageCacheTest, SequentialReadsTriggerReadahead) {
-  ForEachReadPath([&] {
-    Lane lane = MakeLane();
-    auto as = pc_->OpenFile("/seq");
-    ASSERT_TRUE(as.ok());
-    ASSERT_TRUE(disk_->Truncate((*as)->file(), 64 * kPageSize).ok());
-    std::vector<uint8_t> buf(kPageSize);
-    for (uint64_t i = 0; i < 8; ++i) {
-      ASSERT_TRUE(pc_->Read(lane, *as, cg_, i * kPageSize,
-                            std::span<uint8_t>(buf))
-                      .ok());
-    }
-    const CgroupCacheStats stats = pc_->StatsFor(cg_);
-    EXPECT_GT(stats.readahead_pages, 0u);
-  });
+  Lane lane = MakeLane();
+  auto as = pc_->OpenFile("/seq");
+  ASSERT_TRUE(as.ok());
+  ASSERT_TRUE(disk_->Truncate((*as)->file(), 64 * kPageSize).ok());
+  std::vector<uint8_t> buf(kPageSize);
+  for (uint64_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(pc_->Read(lane, *as, cg_, i * kPageSize,
+                          std::span<uint8_t>(buf))
+                    .ok());
+  }
+  const CgroupCacheStats stats = pc_->StatsFor(cg_);
+  EXPECT_GT(stats.readahead_pages, 0u);
 }
 
 TEST_F(PageCacheTest, FadvRandomDisablesReadahead) {
@@ -226,36 +199,32 @@ TEST_F(PageCacheTest, FadvRandomDisablesReadahead) {
 }
 
 TEST_F(PageCacheTest, FadvDontNeedInvalidatesRange) {
-  ForEachReadPath([&] {
-    Lane lane = MakeLane();
-    auto as = pc_->OpenFile("/f");
-    ASSERT_TRUE(as.ok());
-    WriteString(lane, *as, 0, std::string(4 * kPageSize, 'x'));
-    ASSERT_EQ((*as)->nr_resident(), 4u);
-    ASSERT_TRUE(pc_->FadviseRange(lane, *as, cg_, Fadvise::kDontNeed, 0,
-                                  2 * kPageSize)
-                    .ok());
-    EXPECT_EQ((*as)->nr_resident(), 2u);
-    EXPECT_GT(pc_->StatsFor(cg_).invalidations, 0u);
-    // DONTNEED does not leave shadow entries; data still correct from disk.
-    EXPECT_EQ(ReadString(lane, *as, 0, 4), "xxxx");
-  });
+  Lane lane = MakeLane();
+  auto as = pc_->OpenFile("/f");
+  ASSERT_TRUE(as.ok());
+  WriteString(lane, *as, 0, std::string(4 * kPageSize, 'x'));
+  ASSERT_EQ((*as)->nr_resident(), 4u);
+  ASSERT_TRUE(pc_->FadviseRange(lane, *as, cg_, Fadvise::kDontNeed, 0,
+                                2 * kPageSize)
+                  .ok());
+  EXPECT_EQ((*as)->nr_resident(), 2u);
+  EXPECT_GT(pc_->StatsFor(cg_).invalidations, 0u);
+  // DONTNEED does not leave shadow entries; data still correct from disk.
+  EXPECT_EQ(ReadString(lane, *as, 0, 4), "xxxx");
 }
 
 TEST_F(PageCacheTest, FadvWillNeedPrefetches) {
-  ForEachReadPath([&] {
-    Lane lane = MakeLane();
-    auto as = pc_->OpenFile("/f");
-    ASSERT_TRUE(as.ok());
-    ASSERT_TRUE(disk_->Truncate((*as)->file(), 16 * kPageSize).ok());
-    ASSERT_TRUE(pc_->FadviseRange(lane, *as, cg_, Fadvise::kWillNeed, 0,
-                                  8 * kPageSize)
-                    .ok());
-    EXPECT_EQ((*as)->nr_resident(), 8u);
-    cg_->ResetStats();
-    ReadString(lane, *as, 0, kPageSize);
-    EXPECT_EQ(cg_->stat_misses.load(), 0u);  // prefetched -> hit
-  });
+  Lane lane = MakeLane();
+  auto as = pc_->OpenFile("/f");
+  ASSERT_TRUE(as.ok());
+  ASSERT_TRUE(disk_->Truncate((*as)->file(), 16 * kPageSize).ok());
+  ASSERT_TRUE(pc_->FadviseRange(lane, *as, cg_, Fadvise::kWillNeed, 0,
+                                8 * kPageSize)
+                  .ok());
+  EXPECT_EQ((*as)->nr_resident(), 8u);
+  cg_->ResetStats();
+  ReadString(lane, *as, 0, kPageSize);
+  EXPECT_EQ(cg_->stat_misses.load(), 0u);  // prefetched -> hit
 }
 
 TEST_F(PageCacheTest, FadvNoReuseMarksFoliosDropBehind) {
@@ -319,24 +288,22 @@ TEST_F(PageCacheTest, RefaultActivationAfterQuickReeviction) {
 }
 
 TEST_F(PageCacheTest, CrossCgroupAccessChargesOwnerOnly) {
-  ForEachReadPath([&] {
-    Lane lane = MakeLane();
-    MemCgroup* other = pc_->CreateCgroup("/other", 64 * kPageSize);
-    auto as = pc_->OpenFile("/shared");
-    ASSERT_TRUE(as.ok());
-    // cg_ faults the page in and owns it.
-    WriteString(lane, *as, 0, "shared data");
-    const uint64_t owner_charge = cg_->charged_pages();
-    ASSERT_EQ(other->charged_pages(), 0u);
+  Lane lane = MakeLane();
+  MemCgroup* other = pc_->CreateCgroup("/other", 64 * kPageSize);
+  auto as = pc_->OpenFile("/shared");
+  ASSERT_TRUE(as.ok());
+  // cg_ faults the page in and owns it.
+  WriteString(lane, *as, 0, "shared data");
+  const uint64_t owner_charge = cg_->charged_pages();
+  ASSERT_EQ(other->charged_pages(), 0u);
 
-    // A process in `other` reads the same page: hit, owner keeps the charge,
-    // and the *owner's* hit counter moves.
-    cg_->ResetStats();
-    ReadString(lane, *as, 0, 4, other);
-    EXPECT_EQ(other->charged_pages(), 0u);
-    EXPECT_EQ(cg_->charged_pages(), owner_charge);
-    EXPECT_EQ(cg_->stat_hits.load(), 1u);
-  });
+  // A process in `other` reads the same page: hit, owner keeps the charge,
+  // and the *owner's* hit counter moves.
+  cg_->ResetStats();
+  ReadString(lane, *as, 0, 4, other);
+  EXPECT_EQ(other->charged_pages(), 0u);
+  EXPECT_EQ(cg_->charged_pages(), owner_charge);
+  EXPECT_EQ(cg_->stat_hits.load(), 1u);
 }
 
 TEST_F(PageCacheTest, OomKillsWhenNothingReclaimable) {
@@ -391,19 +358,17 @@ TEST_F(PageCacheTest, NullArgumentsRejected) {
 }
 
 TEST_F(PageCacheTest, UnalignedReadSpanningPages) {
-  ForEachReadPath([&] {
-    Lane lane = MakeLane();
-    auto as = pc_->OpenFile("/f");
-    ASSERT_TRUE(as.ok());
-    std::string data(3 * kPageSize, '\0');
-    for (size_t i = 0; i < data.size(); ++i) {
-      data[i] = static_cast<char>('a' + (i % 26));
-    }
-    WriteString(lane, *as, 0, data);
-    const std::string middle =
-        ReadString(lane, *as, kPageSize - 10, 20);  // spans pages 0-1
-    EXPECT_EQ(middle, data.substr(kPageSize - 10, 20));
-  });
+  Lane lane = MakeLane();
+  auto as = pc_->OpenFile("/f");
+  ASSERT_TRUE(as.ok());
+  std::string data(3 * kPageSize, '\0');
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>('a' + (i % 26));
+  }
+  WriteString(lane, *as, 0, data);
+  const std::string middle =
+      ReadString(lane, *as, kPageSize - 10, 20);  // spans pages 0-1
+  EXPECT_EQ(middle, data.substr(kPageSize - 10, 20));
 }
 
 // A policy that evicts nothing and reports fixed PolicyRuntimeCounters: the

@@ -262,6 +262,9 @@ TEST_F(WritebackTest, FsyncCreditsEachOwnerCgroup) {
   EXPECT_EQ(theirs.dirty_pages, 0u);
   EXPECT_EQ(theirs.writeback_pages, 12u);
   EXPECT_EQ(theirs.writeback_sync_entries, 1u);
+  // The shared device write counts once for each owner.
+  EXPECT_EQ(mine.writeback_extents, 1u);
+  EXPECT_EQ(theirs.writeback_extents, 1u);
 }
 
 TEST_F(WritebackTest, FsyncSplitsRunsLongerThanTheExtentCap) {
@@ -280,6 +283,7 @@ TEST_F(WritebackTest, FsyncSplitsRunsLongerThanTheExtentCap) {
   const CgroupCacheStats stats = rig->pc->StatsFor(rig->cg);
   EXPECT_EQ(stats.dirty_pages, 0u);
   EXPECT_EQ(stats.writeback_pages, kPages);
+  EXPECT_EQ(stats.writeback_extents, 2u);
 }
 
 TEST_F(WritebackTest, FsyncStartsANewExtentAtEachGap) {
@@ -295,6 +299,7 @@ TEST_F(WritebackTest, FsyncStartsANewExtentAtEachGap) {
   const CgroupCacheStats stats = rig->pc->StatsFor(rig->cg);
   EXPECT_EQ(stats.dirty_pages, 0u);
   EXPECT_EQ(stats.writeback_pages, 8u);
+  EXPECT_EQ(stats.writeback_extents, 3u);
 }
 
 TEST_F(WritebackTest, BackgroundOffNeverWakesTheFlusher) {
@@ -468,6 +473,7 @@ TEST_F(WritebackTest, PartialInvalidateSplitKeepsKeptPagesDirty) {
   stats = rig->pc->StatsFor(rig->cg);
   EXPECT_EQ(stats.ext_order_splits, 1u);
   EXPECT_EQ(stats.writeback_pages, 4u);  // the dropped range, inline
+  EXPECT_EQ(stats.writeback_extents, 1u);
   EXPECT_EQ(stats.dirty_pages, 12u);     // both kept halves stay dirty
   EXPECT_EQ(rig->as->FindFolio(5), nullptr);
   Folio* kept_lo = rig->as->FindFolio(2);
@@ -481,6 +487,8 @@ TEST_F(WritebackTest, PartialInvalidateSplitKeepsKeptPagesDirty) {
   stats = rig->pc->StatsFor(rig->cg);
   EXPECT_EQ(stats.dirty_pages, 0u);
   EXPECT_EQ(stats.writeback_pages, 16u);
+  // The kept runs [0, 4) and [8, 16) are two more device writes.
+  EXPECT_EQ(stats.writeback_extents, 3u);
   ExpectPageContents(*rig, lane, 12);
 }
 
@@ -549,6 +557,9 @@ TEST_F(WritebackTest, BackgroundWritebackOffloadsDirtyEvictionCpu) {
   // Both runs evicted (and wrote back) the same dirty pages...
   EXPECT_GT(stats_off.writeback_pages, 0u);
   EXPECT_EQ(stats_on.writeback_pages, stats_off.writeback_pages);
+  // ...one device write per order-0 victim.
+  EXPECT_EQ(stats_off.writeback_extents, stats_off.writeback_pages);
+  EXPECT_EQ(stats_on.writeback_extents, stats_on.writeback_pages);
   // ...but inline mode charged the writeback CPU to the allocating writer,
   // while background mode handed it to the cgroup's flusher lane.
   EXPECT_EQ(stats_off.ext_writeback_ns, 0u);
