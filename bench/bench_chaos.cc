@@ -149,12 +149,12 @@ std::string MaskToString(uint32_t mask) {
     return "-";
   }
   std::string out;
-  for (uint32_t i = 0; i < kNumPolicyHooks; ++i) {
+  for (uint32_t i = 0; i < kNumHooks; ++i) {
     if (mask & (1u << i)) {
       if (!out.empty()) {
         out += "+";
       }
-      out += PolicyHookName(static_cast<PolicyHook>(i));
+      out += HookName(static_cast<Hook>(i));
     }
   }
   return out;

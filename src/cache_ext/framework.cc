@@ -23,20 +23,15 @@ CacheExtPolicy::CacheExtPolicy(Ops ops, MemCgroup* cg,
       registry_(cg->limit_pages()),
       api_(&registry_),
       per_event_cost_ns_(costs.hook_dispatch_ns + costs.registry_op_ns +
-                         ops_.program_cost_ns),
-      breaker_(CircuitBreakerOptions{}) {}
+                         ops_.program_cost_ns) {}
 
 template <typename Fn>
-void CacheExtPolicy::RunProgram(PolicyHook hook, Fn&& fn) {
+void CacheExtPolicy::RunProgram(Hook hook, Fn&& fn) {
   bpf::RunContext run(ops_.helper_budget);
   fn();
-  const bool aborted = run.aborted();
-  if (aborted) {
-    aborted_programs_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (breaker_.Record(hook, aborted)) {
+  if (breaker_.Record(hook, run.aborted())) {
     LOG_WARNING << "cache_ext breaker: policy '" << ops_.name << "' hook '"
-                << PolicyHookName(hook)
+                << HookName(hook)
                 << "' tripped; degrading this hook to default behaviour";
   }
 }
@@ -62,10 +57,10 @@ void CacheExtPolicy::FolioAdded(Folio* folio) {
   // registry insert is a kernel obligation and runs even when the hook is
   // degraded — candidate validation depends on it.
   registry_.Insert(folio);
-  if (Degraded(PolicyHook::kAdded)) {
+  if (Degraded(Hook::kFolioAdded)) {
     return;
   }
-  RunProgram(PolicyHook::kAdded, [&] { ops_.folio_added(api_, folio); });
+  RunProgram(Hook::kFolioAdded, [&] { ops_.folio_added(api_, folio); });
 }
 
 void CacheExtPolicy::FolioAccessed(Folio* folio) {
@@ -76,10 +71,10 @@ void CacheExtPolicy::FolioAccessed(Folio* folio) {
     FolioAdded(folio);
     return;
   }
-  if (Degraded(PolicyHook::kAccess)) {
+  if (Degraded(Hook::kFolioAccessed)) {
     return;
   }
-  RunProgram(PolicyHook::kAccess, [&] { ops_.folio_accessed(api_, folio); });
+  RunProgram(Hook::kFolioAccessed, [&] { ops_.folio_accessed(api_, folio); });
 }
 
 void CacheExtPolicy::FolioRemoved(Folio* folio) {
@@ -90,8 +85,8 @@ void CacheExtPolicy::FolioRemoved(Folio* folio) {
   // registered), then enforce cleanup regardless of what the program did:
   // unlink from any eviction list and drop the registry entry (§4.4). A
   // degraded hook skips only the program — cleanup is unconditional.
-  if (!Degraded(PolicyHook::kRemoved)) {
-    RunProgram(PolicyHook::kRemoved, [&] { ops_.folio_removed(api_, folio); });
+  if (!Degraded(Hook::kFolioRemoved)) {
+    RunProgram(Hook::kFolioRemoved, [&] { ops_.folio_removed(api_, folio); });
   }
   FolioReleased(folio);
 }
@@ -106,17 +101,12 @@ void CacheExtPolicy::FolioReleased(Folio* folio) {
 }
 
 void CacheExtPolicy::EvictFolios(EvictionCtx* ctx, MemCgroup* memcg) {
-  if (ctx->source == ReclaimSource::kBackground) {
-    background_evict_dispatches_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    direct_evict_dispatches_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (Degraded(PolicyHook::kEvict)) {
+  if (Degraded(Hook::kEvictFolios)) {
     // Propose nothing: the page cache's under-proposal fallback (§4.4)
     // evicts via the default policy for the remainder of the batch.
     return;
   }
-  RunProgram(PolicyHook::kEvict,
+  RunProgram(Hook::kEvictFolios,
              [&] { ops_.evict_folios(api_, ctx, memcg); });
   // Injected corruption: overwrite one proposed candidate with a garbage
   // pointer, as if the policy returned a stale/forged folio. Validation
@@ -128,32 +118,32 @@ void CacheExtPolicy::EvictFolios(EvictionCtx* ctx, MemCgroup* memcg) {
 }
 
 bool CacheExtPolicy::AdmitFolio(const AdmissionCtx& ctx) {
-  if (!ops_.admit_folio || Degraded(PolicyHook::kAdmit)) {
+  if (!ops_.admit_folio || Degraded(Hook::kAdmitFolio)) {
     // Default kernel behaviour: admit everything.
     return true;
   }
   bool admit = true;
-  RunProgram(PolicyHook::kAdmit,
+  RunProgram(Hook::kAdmitFolio,
              [&] { admit = ops_.admit_folio(api_, ctx); });
   return admit;
 }
 
 int64_t CacheExtPolicy::RequestPrefetch(const PrefetchCtx& ctx) {
-  if (!ops_.request_prefetch || Degraded(PolicyHook::kPrefetch)) {
+  if (!ops_.request_prefetch || Degraded(Hook::kRequestPrefetch)) {
     return -1;  // defer to the kernel readahead heuristic
   }
   int64_t window = -1;
-  RunProgram(PolicyHook::kPrefetch,
+  RunProgram(Hook::kRequestPrefetch,
              [&] { window = ops_.request_prefetch(api_, ctx); });
   return window;
 }
 
 int64_t CacheExtPolicy::RequestReadahead(const ReadaheadCtx& ctx) {
-  if (!ops_.readahead || Degraded(PolicyHook::kReadahead)) {
+  if (!ops_.readahead || Degraded(Hook::kReadahead)) {
     return -1;  // defer to the kernel readahead heuristic (window <= 8)
   }
   int64_t window = -1;
-  RunProgram(PolicyHook::kReadahead,
+  RunProgram(Hook::kReadahead,
              [&] { window = ops_.readahead(api_, ctx); });
   // Injected misfire: the policy "returns" a wild window, as if its stream
   // tracking went off the rails. The page cache's max_readahead_pages clamp
@@ -167,18 +157,18 @@ int64_t CacheExtPolicy::RequestReadahead(const ReadaheadCtx& ctx) {
 }
 
 uint32_t CacheExtPolicy::AdmitOrder(const AdmitOrderCtx& ctx) {
-  if (!ops_.admit_order || Degraded(PolicyHook::kOrder)) {
+  if (!ops_.admit_order || Degraded(Hook::kAdmitOrder)) {
     return 0;  // default kernel behaviour: single-page folios
   }
   uint32_t order = 0;
-  RunProgram(PolicyHook::kOrder,
+  RunProgram(Hook::kAdmitOrder,
              [&] { order = ops_.admit_order(api_, ctx); });
   if (!ValidFolioOrder(order)) {
     // An out-of-set order is a policy violation, not a preference: count it
     // against this hook's breaker and fall back to a single page.
-    if (breaker_.Record(PolicyHook::kOrder, true)) {
+    if (breaker_.Record(Hook::kAdmitOrder, true)) {
       LOG_WARNING << "cache_ext breaker: policy '" << ops_.name
-                  << "' order hook tripped on invalid orders";
+                  << "' admit_order hook tripped on invalid orders";
     }
     return 0;
   }
@@ -186,11 +176,11 @@ uint32_t CacheExtPolicy::AdmitOrder(const AdmitOrderCtx& ctx) {
 }
 
 bool CacheExtPolicy::ShouldWriteback(const WritebackCtx& ctx) {
-  if (!ops_.should_writeback || Degraded(PolicyHook::kShouldWriteback)) {
+  if (!ops_.should_writeback || Degraded(Hook::kShouldWriteback)) {
     return true;  // default kernel behaviour: flush every harvested folio
   }
   bool flush = true;
-  RunProgram(PolicyHook::kShouldWriteback,
+  RunProgram(Hook::kShouldWriteback,
              [&] { flush = ops_.should_writeback(api_, ctx); });
   // Durability override: fsync-driven harvests may not be vetoed — a policy
   // deferring folios an fsync needs would turn a hint into data loss.
@@ -198,20 +188,20 @@ bool CacheExtPolicy::ShouldWriteback(const WritebackCtx& ctx) {
 }
 
 int64_t CacheExtPolicy::WritebackOrder(const WritebackCtx& ctx) {
-  if (!ops_.writeback_order || Degraded(PolicyHook::kWritebackOrder)) {
+  if (!ops_.writeback_order || Degraded(Hook::kWritebackOrder)) {
     return -1;  // defer to file offset order
   }
   int64_t key = -1;
-  RunProgram(PolicyHook::kWritebackOrder,
+  RunProgram(Hook::kWritebackOrder,
              [&] { key = ops_.writeback_order(api_, ctx); });
   return key;
 }
 
 void CacheExtPolicy::FolioRefaulted(Folio* folio, uint32_t tier) {
-  if (!ops_.folio_refaulted || Degraded(PolicyHook::kRefault)) {
+  if (!ops_.folio_refaulted || Degraded(Hook::kFolioRefaulted)) {
     return;
   }
-  RunProgram(PolicyHook::kRefault,
+  RunProgram(Hook::kFolioRefaulted,
              [&] { ops_.folio_refaulted(api_, folio, tier); });
 }
 
@@ -233,11 +223,11 @@ bool CacheExtPolicy::ValidateCandidate(Folio* folio) {
     // An invalid candidate is an eviction-hook violation: it feeds the same
     // breaker as a program abort. A policy spewing garbage pointers trips
     // its evict hook on rate; one that offends too rarely to trip is
-    // detached at the breaker's lifetime limit (hard_violation_limit), the
+    // detached at the breaker's lifetime limit (kHardViolationLimit), the
     // only violation budget there is.
-    if (breaker_.Record(PolicyHook::kEvict, true)) {
+    if (breaker_.Record(Hook::kEvictFolios, true)) {
       LOG_WARNING << "cache_ext breaker: policy '" << ops_.name
-                  << "' evict hook tripped on invalid candidates";
+                  << "' evict_folios hook tripped on invalid candidates";
     }
   }
   return valid;

@@ -20,7 +20,6 @@
 #ifndef SRC_CACHE_EXT_FRAMEWORK_H_
 #define SRC_CACHE_EXT_FRAMEWORK_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string_view>
 
@@ -67,29 +66,16 @@ class CacheExtPolicy : public ReclaimPolicy {
   FolioRegistry& registry() { return registry_; }
   MemCgroup* cgroup() { return cg_; }
   const HookCircuitBreaker& breaker() const { return breaker_; }
-  uint64_t aborted_programs() const {
-    return aborted_programs_.load(std::memory_order_relaxed);
-  }
-  // Evict-hook dispatches by requester: the cgroup's background reclaimer
-  // lane (src/reclaim, the asynchronous entry) vs allocating tasks in
-  // direct reclaim. Visibility into how much of the policy's eviction work
-  // was moved off the fault path.
-  uint64_t background_evict_dispatches() const {
-    return background_evict_dispatches_.load(std::memory_order_relaxed);
-  }
-  uint64_t direct_evict_dispatches() const {
-    return direct_evict_dispatches_.load(std::memory_order_relaxed);
-  }
 
  private:
   // Run one program under a RunContext, feeding the hook's breaker with the
   // outcome (abort = violation).
   template <typename Fn>
-  void RunProgram(PolicyHook hook, Fn&& fn);
+  void RunProgram(Hook hook, Fn&& fn);
 
   // True when the hook is degraded: the program is skipped and the caller
   // applies the default kernel behaviour instead.
-  bool Degraded(PolicyHook hook) const { return breaker_.Degraded(hook); }
+  bool Degraded(Hook hook) const { return breaker_.Degraded(hook); }
 
   Ops ops_;
   MemCgroup* cg_;
@@ -97,9 +83,6 @@ class CacheExtPolicy : public ReclaimPolicy {
   CacheExtApi api_;
   uint64_t per_event_cost_ns_;
   HookCircuitBreaker breaker_;
-  std::atomic<uint64_t> aborted_programs_{0};
-  std::atomic<uint64_t> background_evict_dispatches_{0};
-  std::atomic<uint64_t> direct_evict_dispatches_{0};
 };
 
 }  // namespace cache_ext

@@ -6,6 +6,10 @@
 // *propose* — the page cache validates each candidate (still resident, not
 // pinned, right cgroup, and for cache_ext policies: present in the
 // valid-folio registry) before actually evicting (§4.2.3).
+//
+// The hooks a policy implements are named by one enum, bpf::verifier::Hook,
+// shared with the load-time verifier: the circuit breaker, the per-cgroup
+// trip counters and the health snapshot below all index by it.
 
 #ifndef SRC_PAGECACHE_EVICTION_H_
 #define SRC_PAGECACHE_EVICTION_H_
@@ -14,6 +18,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "src/bpf/verifier/spec.h"
 #include "src/cgroup/counters.h"
 #include "src/mm/folio.h"
 
@@ -24,54 +29,28 @@ class AddressSpace;
 
 inline constexpr uint64_t kMaxEvictionBatch = 32;
 
-// The dispatchable hooks of a loaded policy, as failure domains: the
-// cache_ext framework tracks violations per hook so a policy with one
+// The dispatchable hooks of a loaded policy are the hooks of struct
+// cache_ext_ops (bpf::verifier::Hook), and they double as failure domains:
+// the cache_ext framework tracks violations per hook so a policy with one
 // broken program degrades only that hook to default behaviour while the
-// rest keep running (§4.4 hardening).
-enum class PolicyHook : uint32_t {
-  kEvict = 0,
-  kAdmit,
-  kAccess,
-  kAdded,
-  kRemoved,
-  kPrefetch,
-  kRefault,
-  kReadahead,
-  kOrder,
-  kShouldWriteback,
-  kWritebackOrder,
-};
-inline constexpr uint32_t kNumPolicyHooks = 11;
+// rest keep running (§4.4 hardening). kPolicyInit runs once, outside the
+// breaker, so its slot in the per-hook arrays below stays zero.
+using bpf::verifier::Hook;
+using bpf::verifier::HookName;
+using bpf::verifier::kNumHooks;
 
-constexpr std::string_view PolicyHookName(PolicyHook hook) {
-  switch (hook) {
-    case PolicyHook::kEvict:     return "evict";
-    case PolicyHook::kAdmit:     return "admit";
-    case PolicyHook::kAccess:    return "access";
-    case PolicyHook::kAdded:     return "added";
-    case PolicyHook::kRemoved:   return "removed";
-    case PolicyHook::kPrefetch:  return "prefetch";
-    case PolicyHook::kRefault:   return "refault";
-    case PolicyHook::kReadahead: return "readahead";
-    case PolicyHook::kOrder:     return "order";
-    case PolicyHook::kShouldWriteback: return "should_writeback";
-    case PolicyHook::kWritebackOrder:  return "writeback_order";
-  }
-  return "?";
-}
-
-constexpr uint32_t PolicyHookBit(PolicyHook hook) {
+constexpr uint32_t HookBit(Hook hook) {
   return 1u << static_cast<uint32_t>(hook);
 }
 
 // Per-hook health snapshot surfaced through CgroupCacheStats. `trips[i]` is
-// how many times hook i tripped its circuit breaker (0/1 per attachment),
-// `degraded_mask` the currently-degraded hooks as PolicyHookBit()s.
+// how many times Hook i tripped its circuit breaker (0/1 per attachment),
+// `degraded_mask` the currently-degraded hooks as HookBit()s.
 struct PolicyHookHealth {
   uint32_t degraded_mask = 0;
-  std::array<uint64_t, kNumPolicyHooks> trips{};
-  std::array<uint64_t, kNumPolicyHooks> violations{};
-  std::array<uint64_t, kNumPolicyHooks> invocations{};
+  std::array<uint64_t, kNumHooks> trips{};
+  std::array<uint64_t, kNumHooks> violations{};
+  std::array<uint64_t, kNumHooks> invocations{};
   bool escalate_detach = false;
 };
 
@@ -111,19 +90,9 @@ struct PolicyRuntimeCounters {
   }
 };
 
-// Who is asking for eviction candidates: an allocating task doing direct
-// reclaim on its own clock, or the cgroup's background reclaimer lane (the
-// kswapd analogue, src/reclaim). Policies may not care, but the cache_ext
-// adapter counts dispatches per source so the async entry path is visible.
-enum class ReclaimSource : uint8_t {
-  kDirect = 0,
-  kBackground = 1,
-};
-
 struct EvictionCtx {
   uint64_t nr_candidates_requested = 0;  // input
   uint64_t nr_candidates_proposed = 0;   // output
-  ReclaimSource source = ReclaimSource::kDirect;  // input
   std::array<Folio*, kMaxEvictionBatch> candidates = {};
 
   // Append a candidate; returns false when the batch is full.

@@ -120,9 +120,6 @@ Status PageCache::AttachExtPolicy(MemCgroup* cg,
   st->ext = std::move(policy);
   st->counters.Set(CgroupCounter::ext_violations, 0);
   st->watchdog_detached.store(false, std::memory_order_relaxed);
-  // A fresh attachment starts with a clean reclaim-failure record — the
-  // streak belongs to a policy, not the cgroup.
-  st->reclaim->ResetExtFailureStreak();
   st->ext_event_cost_ns.store(st->ext->PerEventCostNs(),
                               std::memory_order_relaxed);
   st->ext_active_hint.store(true, std::memory_order_release);
@@ -160,7 +157,7 @@ Status PageCache::DetachExtPolicy(MemCgroup* cg) {
   // Fold the departing attachment's breaker trips into the cgroup's
   // cumulative counters so post-mortem stats survive the detach.
   const PolicyHookHealth health = st->ext->HookHealth();
-  for (uint32_t i = 0; i < kNumPolicyHooks; ++i) {
+  for (uint32_t i = 0; i < kNumHooks; ++i) {
     st->ext_hook_trip_counts[i].fetch_add(health.trips[i],
                                           std::memory_order_relaxed);
   }
@@ -209,17 +206,16 @@ bool PageCache::ExtActive(CgroupState& st) {
     return false;
   }
   if (st.ext->WantsDetach()) {
-    LatchWatchdog(st, "escalated by its circuit breaker");
+    // The watchdog latch (§4.4): stop every dispatch site from consulting
+    // the policy and leave the unload to the policy manager.
+    LOG_WARNING << "cache_ext watchdog: detaching policy '" << st.ext->name()
+                << "' from cgroup '" << st.cg->name()
+                << "': escalated by its circuit breaker";
+    st.watchdog_detached.store(true, std::memory_order_relaxed);
+    st.ext_active_hint.store(false, std::memory_order_release);
     return false;
   }
   return true;
-}
-
-void PageCache::LatchWatchdog(CgroupState& st, const std::string& why) {
-  LOG_WARNING << "cache_ext watchdog: detaching policy '" << st.ext->name()
-              << "' from cgroup '" << st.cg->name() << "': " << why;
-  st.watchdog_detached.store(true, std::memory_order_relaxed);
-  st.ext_active_hint.store(false, std::memory_order_release);
 }
 
 // --- Batched hook dispatch -------------------------------------------------
@@ -731,13 +727,11 @@ bool PageCache::CandidateValid(CgroupState& st, Folio* folio, bool from_ext,
 }
 
 uint64_t PageCache::RunEvictionBatch(Lane& lane, CgroupState& st,
-                                     uint64_t requested,
-                                     ReclaimSource source) {
+                                     uint64_t requested) {
   MemCgroup* cg = st.cg.get();
   lane.Charge(options_.costs.reclaim_batch_ns);
   EvictionCtx ctx;
   ctx.nr_candidates_requested = requested;
-  ctx.source = source;
 
   const bool use_ext = ExtActive(st);
   if (use_ext) {
@@ -770,7 +764,6 @@ uint64_t PageCache::RunEvictionBatch(Lane& lane, CgroupState& st,
   if (use_ext && evicted < requested && cg->OverLimit()) {
     EvictionCtx fallback_ctx;
     fallback_ctx.nr_candidates_requested = requested - evicted;
-    fallback_ctx.source = source;
     st.base->EvictFolios(&fallback_ctx, cg);
     for (uint64_t i = 0; i < fallback_ctx.nr_candidates_proposed; ++i) {
       Folio* folio = fallback_ctx.candidates[i];
@@ -788,19 +781,11 @@ uint64_t PageCache::RunEvictionBatch(Lane& lane, CgroupState& st,
     }
   }
 
-  // Circuit-breaker feed (opt-in, options_.reclaim.ext_failure_limit): a
-  // streak of rounds where the ext policy produced nothing usable while the
-  // base fallback evicted fine is the unambiguous "broken policy, working
-  // reclaim" signal. Latching watchdog_detached here hands the policy to
-  // the PolicyManager's revert -> quarantine machinery — reclaim keeps
-  // making progress through the base policy instead of silently looping on
-  // a dead ext hook.
-  if (use_ext &&
-      st.reclaim->NoteExtRound(ext_evicted > 0, fallback_evicted > 0,
-                               options_.reclaim.ext_failure_limit)) {
-    LatchWatchdog(st, std::to_string(options_.reclaim.ext_failure_limit) +
-                          " consecutive reclaim rounds rescued by the base "
-                          "policy");
+  // A round the ext policy evicted nothing in while the base fallback did
+  // is counted, not escalated: the noop policy does exactly this by design.
+  // Only the policy's circuit breaker latches the watchdog.
+  if (use_ext && ext_evicted == 0 && fallback_evicted > 0) {
+    st.counters.Add(CgroupCounter::ext_reclaim_failures);
   }
 
   return evicted;
@@ -822,8 +807,7 @@ void PageCache::DirectReclaim(Lane& lane, CgroupState& st,
     const uint64_t round_start_ns = lane.now_ns();
     const uint64_t requested =
         std::min<uint64_t>(kMaxEvictionBatch, cg->ExcessPages() + slack);
-    const uint64_t evicted =
-        RunEvictionBatch(lane, st, requested, ReclaimSource::kDirect);
+    const uint64_t evicted = RunEvictionBatch(lane, st, requested);
     total_evicted += evicted;
     if (evicted == 0) {
       zero_progress_ns += lane.now_ns() - round_start_ns;
@@ -880,8 +864,7 @@ void PageCache::BackgroundTick(CgroupState& st, DispatchBatch& batch,
                                       : 1;
     const uint64_t requested =
         std::min<uint64_t>(kMaxEvictionBatch, above_target);
-    const uint64_t evicted =
-        RunEvictionBatch(rlane, st, requested, ReclaimSource::kBackground);
+    const uint64_t evicted = RunEvictionBatch(rlane, st, requested);
     rc.NoteBatch(evicted);
     ++batches;
     if (evicted == 0) {
@@ -1787,7 +1770,7 @@ CgroupCacheStats PageCache::SnapshotStats(CgroupState& st) {
   stats.ext_detached_by_watchdog =
       st.watchdog_detached.load(std::memory_order_relaxed);
   stats.oom_killed = st.oom_killed.load(std::memory_order_relaxed);
-  for (uint32_t i = 0; i < kNumPolicyHooks; ++i) {
+  for (uint32_t i = 0; i < kNumHooks; ++i) {
     stats.ext_hook_trip_counts[i] =
         st.ext_hook_trip_counts[i].load(std::memory_order_relaxed);
   }
@@ -1801,7 +1784,7 @@ CgroupCacheStats PageCache::SnapshotStats(CgroupState& st) {
     // plus its trips on top of the cumulative per-cgroup counters.
     const PolicyHookHealth health = st.ext->HookHealth();
     stats.ext_degraded_hook_mask = health.degraded_mask;
-    for (uint32_t i = 0; i < kNumPolicyHooks; ++i) {
+    for (uint32_t i = 0; i < kNumHooks; ++i) {
       stats.ext_hook_trip_counts[i] += health.trips[i];
     }
     // ... and its own counters on top of the folded history.

@@ -137,10 +137,10 @@ struct CgroupCacheStats {
   bool ext_detached_by_watchdog = false;
   bool oom_killed = false;
   // Per-hook circuit-breaker state (§4.4 hardening). The mask covers the
-  // CURRENT attachment (PolicyHookBit per degraded hook); trip counts
+  // CURRENT attachment (HookBit per degraded hook); trip counts
   // accumulate across attachments of this cgroup.
   uint32_t ext_degraded_hook_mask = 0;
-  std::array<uint64_t, kNumPolicyHooks> ext_hook_trip_counts{};
+  std::array<uint64_t, kNumHooks> ext_hook_trip_counts{};
   // Quarantine state published by the policy manager: the cgroup's last
   // managed policy was watchdog-reverted and is awaiting (or banned from)
   // backoff re-attach.
@@ -241,7 +241,7 @@ class PageCache {
     // bump it too.
     CgroupCounters counters;
     // Breaker trips folded in from detached attachments.
-    std::array<std::atomic<uint64_t>, kNumPolicyHooks> ext_hook_trip_counts{};
+    std::array<std::atomic<uint64_t>, kNumHooks> ext_hook_trip_counts{};
     std::atomic<bool> ext_quarantined{false};
     std::atomic<bool> ext_banned{false};
     std::atomic<uint32_t> ext_reattach_attempts{0};
@@ -299,11 +299,8 @@ class PageCache {
   // "detached" policy's programs never run and its per-event cost is never
   // charged — and latches the flag when the policy's own circuit breaker
   // escalates (multiple hooks tripped / too many violations on one hook).
+  // That escalation is the only thing that latches the flag.
   bool ExtActive(CgroupState& st) CACHE_EXT_REQUIRES(st.mu);
-  // The watchdog latch (§4.4): logs `why`, stops every dispatch site from
-  // consulting the policy, and leaves the unload to the policy manager.
-  void LatchWatchdog(CgroupState& st, const std::string& why)
-      CACHE_EXT_REQUIRES(st.mu);
 
   // --- Batched hook dispatch ---------------------------------------------
   //
@@ -389,13 +386,12 @@ class PageCache {
 
   // One policy dispatch round: charge the batch cost, ask the active policy
   // for up to `requested` candidates, validate + evict them, run the
-  // under-proposal fallback and the two watchdogs (violation limit, ext
-  // reclaim-failure streak). Returns folios actually evicted. The extracted
-  // body of the old inline loop, now shared by direct and background
+  // under-proposal fallback and count a round the fallback rescued.
+  // Returns folios actually evicted. Shared by direct and background
   // reclaim — `lane` is the allocator's clock for the former, the
   // reclaimer lane for the latter.
-  uint64_t RunEvictionBatch(Lane& lane, CgroupState& st, uint64_t requested,
-                            ReclaimSource source) CACHE_EXT_REQUIRES(st.mu);
+  uint64_t RunEvictionBatch(Lane& lane, CgroupState& st, uint64_t requested)
+      CACHE_EXT_REQUIRES(st.mu);
 
   // Inline reclaim to the hard limit on the allocator's own clock, with
   // PSI some/full stall accounting. Both the inline-only ablation and the

@@ -22,7 +22,7 @@ void PolicyManager::Record(EventKind kind, MemCgroup* cg,
                            std::string_view policy, std::string detail) {
   audit_.push_back(AuditEvent{kind, cg != nullptr ? cg->name() : "?",
                               std::string(policy), std::move(detail)});
-  while (audit_.size() > options_.audit_capacity) {
+  while (audit_.size() > kAuditCapacity) {
     audit_.pop_front();
     ++audit_dropped_;
   }
@@ -56,7 +56,7 @@ Status PolicyManager::Request(MemCgroup* cg, std::string_view policy_name,
   }
   auto strike_it = strikes_.find(std::make_pair(cg, std::string(policy_name)));
   if (strike_it != strikes_.end() &&
-      strike_it->second >= options_.quarantine_strike_limit) {
+      strike_it->second >= kQuarantineStrikeLimit) {
     Record(EventKind::kDenied, cg, policy_name,
            "banned after repeated watchdog trips");
     return PermissionDenied("policy is banned for this cgroup after " +
@@ -126,7 +126,7 @@ Status PolicyManager::Release(MemCgroup* cg) {
 void PolicyManager::Quarantine(MemCgroup* cg, Attachment attachment) {
   uint32_t& strikes = StrikesFor(cg, attachment.policy_name);
   ++strikes;
-  if (strikes >= options_.quarantine_strike_limit) {
+  if (strikes >= kQuarantineStrikeLimit) {
     quarantine_[cg] = QuarantineEntry{attachment.policy_name,
                                       attachment.params,
                                       /*backoff_polls=*/0,
@@ -135,12 +135,12 @@ void PolicyManager::Quarantine(MemCgroup* cg, Attachment attachment) {
                                       /*banned=*/true};
     Record(EventKind::kBanned, cg, attachment.policy_name,
            "strike " + std::to_string(strikes) + " of " +
-               std::to_string(options_.quarantine_strike_limit) +
+               std::to_string(kQuarantineStrikeLimit) +
                "; permanently banned");
   } else {
     const uint32_t backoff =
         std::min(kQuarantineBackoffCap,
-                 options_.quarantine_backoff_initial << (strikes - 1));
+                 kQuarantineBackoffInitial << (strikes - 1));
     quarantine_[cg] = QuarantineEntry{attachment.policy_name,
                                       attachment.params, backoff, backoff,
                                       /*reattach_attempts=*/0,

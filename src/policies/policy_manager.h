@@ -37,18 +37,21 @@ struct PolicyManagerOptions {
   std::set<std::string> allowlist;
   // Maximum concurrently attached policies across all cgroups.
   size_t max_attached = 64;
-  // Audit-log ring capacity; older events are dropped (and counted) once the
-  // log is full, so a flapping policy cannot grow the manager unboundedly.
-  size_t audit_capacity = 1024;
-  // Quarantine: after a watchdog revert the (cgroup, policy) pair waits
-  // `initial << (strike-1)` poll cycles (capped at kQuarantineBackoffCap)
-  // before a re-attach attempt; after `strike_limit` watchdog trips the
-  // pair is banned permanently (until a manual Request overrides it for a
-  // different policy).
-  uint32_t quarantine_backoff_initial = 1;
-  uint32_t quarantine_strike_limit = 3;
 };
 
+// Supervision constants. Like the breaker thresholds they are fixed, not
+// per-deployment: a policy's containment is not something to tune.
+//
+// Audit-log ring capacity; older events are dropped (and counted) once the
+// log is full, so a flapping policy cannot grow the manager unboundedly.
+inline constexpr size_t kAuditCapacity = 1024;
+// Quarantine: after a watchdog revert the (cgroup, policy) pair waits
+// `kQuarantineBackoffInitial << (strike-1)` poll cycles (capped at
+// kQuarantineBackoffCap) before a re-attach attempt; after
+// kQuarantineStrikeLimit watchdog trips the pair is banned permanently
+// (until a manual Request overrides it for a different policy).
+inline constexpr uint32_t kQuarantineBackoffInitial = 1;
+inline constexpr uint32_t kQuarantineStrikeLimit = 3;
 // Longest quarantine backoff, in poll cycles.
 inline constexpr uint32_t kQuarantineBackoffCap = 16;
 

@@ -174,22 +174,4 @@ void CgroupReclaimControl::NoteDirect(uint64_t ns, uint64_t zero_progress_ns,
   counters_.Add(CgroupCounter::psi_full_ns, zero_progress_ns);
 }
 
-bool CgroupReclaimControl::NoteExtRound(bool ext_made_progress,
-                                        bool fallback_made_progress,
-                                        uint32_t limit) {
-  if (ext_made_progress) {
-    ext_failure_streak_.store(0, std::memory_order_relaxed);
-    return false;
-  }
-  if (!fallback_made_progress) {
-    // Nothing evictable at all (everything pinned, cache empty): not the
-    // ext policy's fault — detaching it would change nothing. Streak holds.
-    return false;
-  }
-  counters_.Add(CgroupCounter::ext_reclaim_failures);
-  const uint32_t streak =
-      ext_failure_streak_.fetch_add(1, std::memory_order_relaxed) + 1;
-  return limit > 0 && streak == limit;
-}
-
 }  // namespace cache_ext::reclaim

@@ -19,7 +19,7 @@
 //    the reclaimer lane synchronously at allocation sites, which models an
 //    always-prompt daemon on its own clock.
 //
-// Robustness contract (the reason this file exists, ISSUE 7):
+// Robustness contract:
 //  * Allocation NEVER blocks on a healthy reclaimer — it allocates from
 //    pre-reclaimed headroom; only crossing the hard limit enters emergency
 //    direct reclaim, which is bounded (stops at the limit, not the high
@@ -32,6 +32,10 @@
 //    `reclaim.overshoot` (armed by the chaos suite) wedge, kill, or
 //    throttle a lane on demand; all InjectFault call sites live in
 //    reclaimer.cc.
+//  * Reclaim never detaches an ext policy. A round where the policy
+//    evicted nothing and the base fallback did is only counted
+//    (`ext_reclaim_failures`, bumped by the page cache); the policy's
+//    circuit breaker is the one path to the watchdog latch.
 
 #ifndef SRC_RECLAIM_RECLAIMER_H_
 #define SRC_RECLAIM_RECLAIMER_H_
@@ -51,12 +55,6 @@ struct ReclaimOptions {
   // ablation and the default) preserves the historical inline-only
   // behaviour: every over-limit allocation pays direct reclaim itself.
   bool background = false;
-  // Circuit-breaker feed: after this many CONSECUTIVE reclaim rounds where
-  // the ext policy proposed nothing usable while the base-policy fallback
-  // did evict, latch the watchdog detach (feeding the PR-2 PolicyManager
-  // revert -> quarantine path). 0 disables — the default, because the
-  // no-op policy legitimately proposes nothing and relies on fallback.
-  uint32_t ext_failure_limit = 0;
 };
 
 // Batches one BackgroundTick may run before yielding the cgroup lock.
@@ -152,19 +150,6 @@ class CgroupReclaimControl {
   // High-watermark headroom restored: release the hysteresis latch.
   void NoteTargetReached();
 
-  // ---- Circuit-breaker feed (ext policy failing under reclaim) -----------
-
-  // Called per reclaim round. A "failure" is the unambiguous signal that
-  // the ext policy is broken *and* reclaim would work without it: it
-  // proposed nothing usable while the base-policy fallback evicted fine.
-  // Returns true when the consecutive-failure streak just hit `limit`
-  // (caller latches the watchdog detach). limit == 0 disables.
-  bool NoteExtRound(bool ext_made_progress, bool fallback_made_progress,
-                    uint32_t limit);
-  void ResetExtFailureStreak() {
-    ext_failure_streak_.store(0, std::memory_order_relaxed);
-  }
-
   // ---- Introspection -----------------------------------------------------
 
   LaneHealth health() const {
@@ -204,8 +189,6 @@ class CgroupReclaimControl {
   std::atomic<uint32_t> heartbeat_misses_{0};
   std::atomic<uint32_t> probe_backoff_{0};
   std::atomic<uint32_t> probe_countdown_{0};
-
-  std::atomic<uint32_t> ext_failure_streak_{0};
 };
 
 }  // namespace cache_ext::reclaim

@@ -201,7 +201,7 @@ TEST_F(ChaosTest, TrippedCgroupConvergesToDefaultPolicyHitRate) {
   FaultInjector::Global().DisarmAll();
   const CgroupCacheStats mid = chaos->pc->StatsFor(chaos->cg);
   ASSERT_GE(
-      mid.ext_hook_trip_counts[static_cast<size_t>(PolicyHook::kEvict)], 1u);
+      mid.ext_hook_trip_counts[static_cast<size_t>(Hook::kEvictFolios)], 1u);
   ASSERT_GT(mid.ext_violations, 0u);
 
   const double chaos_rate = chaos->RunAndMeasureHitRate(chaos_stream, 3000);

@@ -344,9 +344,7 @@ TEST(ConcurrencyTest, BreakerCountOnlySuccessesLoseNoRecord) {
   constexpr int kThreads = 4;
   constexpr uint64_t kRecords = 20000;
   constexpr uint64_t kViolationEvery = 101;
-  CircuitBreakerOptions options;
-  options.hard_violation_limit = UINT64_MAX;
-  HookCircuitBreaker breaker(options);
+  HookCircuitBreaker breaker;
   std::atomic<bool> done{false};
   std::thread reader([&] {
     while (!done.load(std::memory_order_relaxed)) {
@@ -356,7 +354,7 @@ TEST(ConcurrencyTest, BreakerCountOnlySuccessesLoseNoRecord) {
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&breaker, t] {
-      const auto hook = static_cast<PolicyHook>(t % 2);
+      const Hook hook = t % 2 == 0 ? Hook::kEvictFolios : Hook::kFolioAdded;
       for (uint64_t i = 1; i <= kRecords; ++i) {
         (void)breaker.Record(hook, i % kViolationEvery == 0);
       }
@@ -367,13 +365,17 @@ TEST(ConcurrencyTest, BreakerCountOnlySuccessesLoseNoRecord) {
   reader.join();
   const PolicyHookHealth health = breaker.Health();
   constexpr uint64_t kThreadsPerHook = kThreads / 2;
-  for (uint32_t h = 0; h < 2; ++h) {
+  for (const Hook hook : {Hook::kEvictFolios, Hook::kFolioAdded}) {
+    const auto h = static_cast<size_t>(hook);
     EXPECT_EQ(health.invocations[h], kThreadsPerHook * kRecords);
     EXPECT_EQ(health.violations[h],
               kThreadsPerHook * (kRecords / kViolationEvery));
   }
-  // At under 1% violations, neither hook tripped.
+  // At under 1% violations, neither hook tripped. Each hook did pass the
+  // breaker's lifetime violation limit, which escalates but stops no
+  // counting.
   EXPECT_EQ(health.degraded_mask, 0u);
+  EXPECT_TRUE(health.escalate_detach);
 }
 
 TEST(ConcurrencyTest, BreakerCountersSurviveConcurrentHookAborts) {

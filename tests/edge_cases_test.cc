@@ -244,7 +244,9 @@ TEST_F(EdgeCaseTest, MisbehavingRemovalProgramStillCleansUp) {
   ASSERT_TRUE(
       pc_->FadviseRange(lane, *as, cg_, Fadvise::kDontNeed, 0, 0).ok());
   EXPECT_EQ((*policy)->registry().Size(), 0u);
-  EXPECT_GT((*policy)->aborted_programs(), 0u);
+  EXPECT_GT((*policy)->HookHealth().violations[static_cast<size_t>(
+                Hook::kFolioRemoved)],
+            0u);
 }
 
 TEST_F(EdgeCaseTest, DeleteFileWhilePolicyHoldsFoliosOnLists) {

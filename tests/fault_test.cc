@@ -298,12 +298,12 @@ TEST_F(FaultStackTest, AbortingAdmitHookDegradesAloneEvictionsKeepFlowing) {
   TouchPages(lane, *as, 0, 96);
 
   const CgroupCacheStats stats = pc_->StatsFor(cg_);
-  EXPECT_EQ(stats.ext_degraded_hook_mask, PolicyHookBit(PolicyHook::kAdmit));
+  EXPECT_EQ(stats.ext_degraded_hook_mask, HookBit(Hook::kAdmitFolio));
   EXPECT_FALSE(stats.ext_detached_by_watchdog);
   EXPECT_EQ(
-      stats.ext_hook_trip_counts[static_cast<size_t>(PolicyHook::kAdmit)], 1u);
+      stats.ext_hook_trip_counts[static_cast<size_t>(Hook::kAdmitFolio)], 1u);
   EXPECT_EQ(
-      stats.ext_hook_trip_counts[static_cast<size_t>(PolicyHook::kEvict)], 0u);
+      stats.ext_hook_trip_counts[static_cast<size_t>(Hook::kEvictFolios)], 0u);
   // The healthy evict hook kept proposing: no fallback evictions, and the
   // cgroup stayed within its limit.
   EXPECT_GT(cg_->stat_evictions.load(), 0u);

@@ -170,10 +170,10 @@ TEST_F(FolioOrderTest, InvalidOrderFallsBackAndTripsBreaker) {
   EXPECT_EQ(folio->nr_pages(), 1u);
   auto stats = pc_->StatsFor(cg_);
   EXPECT_NE(stats.ext_degraded_hook_mask &
-                PolicyHookBit(PolicyHook::kOrder),
+                HookBit(Hook::kAdmitOrder),
             0u);
   EXPECT_GE(
-      stats.ext_hook_trip_counts[static_cast<size_t>(PolicyHook::kOrder)],
+      stats.ext_hook_trip_counts[static_cast<size_t>(Hook::kAdmitOrder)],
       1u);
   EXPECT_EQ(stats.ext_order_folios, 0u);
 }

@@ -330,13 +330,13 @@ TEST_F(FrameworkTest, BreakerDegradesEvictHookOfPersistentOffender) {
   TouchPages(lane, *as, 0, 256);  // heavy pressure, many violations
   const CgroupCacheStats stats = pc_->StatsFor(cg_);
   // The breaker cut the violation stream off on rate, long before the
-  // lifetime limit (hard_violation_limit) could detach the policy.
+  // lifetime limit (kHardViolationLimit) could detach the policy.
   EXPECT_GT(stats.ext_violations, 0u);
   EXPECT_LT(stats.ext_violations, 50u);
   EXPECT_FALSE(stats.ext_detached_by_watchdog);
-  EXPECT_NE(stats.ext_degraded_hook_mask & PolicyHookBit(PolicyHook::kEvict),
+  EXPECT_NE(stats.ext_degraded_hook_mask & HookBit(Hook::kEvictFolios),
             0u);
-  EXPECT_GE(stats.ext_hook_trip_counts[static_cast<size_t>(PolicyHook::kEvict)],
+  EXPECT_GE(stats.ext_hook_trip_counts[static_cast<size_t>(Hook::kEvictFolios)],
             1u);
   // With the evict hook degraded the base policy drives eviction directly.
   EXPECT_LE(cg_->charged_pages(), cg_->limit_pages());
@@ -345,12 +345,12 @@ TEST_F(FrameworkTest, BreakerDegradesEvictHookOfPersistentOffender) {
 
 TEST_F(FrameworkTest, SporadicOffenderDetachesAtBreakerLifetimeLimit) {
   // One invalid candidate on every other evict_folios call: three evict-hook
-  // records per two calls, one a violation, so the rate stays under
-  // trip_rate and the hook never degrades. The breaker's lifetime limit is
-  // then the only thing that stops the policy, and it must stop it exactly
-  // there — for an unregistered folio and for a null pointer alike, each in
-  // a fresh cgroup.
-  const uint64_t limit = CircuitBreakerOptions{}.hard_violation_limit;
+  // records per two calls, one a violation, so the rate stays under the
+  // trip rate of one half and the hook never degrades. The breaker's
+  // lifetime limit is then the only thing that stops the policy, and it
+  // must stop it exactly there — for an unregistered folio and for a null
+  // pointer alike, each in a fresh cgroup.
+  const uint64_t limit = HookCircuitBreaker::kHardViolationLimit;
   ASSERT_EQ(limit, 128u);
   Folio decoy;  // never registered
   const std::array<Folio*, 2> invalid_candidates = {&decoy, nullptr};
@@ -376,7 +376,7 @@ TEST_F(FrameworkTest, SporadicOffenderDetachesAtBreakerLifetimeLimit) {
     ASSERT_TRUE(as.ok());
     constexpr uint64_t kPages = 4096;
     ASSERT_TRUE(disk_.Truncate((*as)->file(), kPages * kPageSize).ok());
-    const auto evict = static_cast<size_t>(PolicyHook::kEvict);
+    const auto evict = static_cast<size_t>(Hook::kEvictFolios);
     bool detached = false;
     for (uint64_t page = 0; page < kPages && !detached; ++page) {
       TouchPages(lane, *as, page, 1);
@@ -430,9 +430,9 @@ TEST_F(FrameworkTest, WatchdogDetachesMultiHookOffender) {
   const CgroupCacheStats stats = pc_->StatsFor(cg_);
   EXPECT_TRUE(stats.ext_detached_by_watchdog);
   // Both hooks show in the trip counts.
-  EXPECT_GE(stats.ext_hook_trip_counts[static_cast<size_t>(PolicyHook::kEvict)],
+  EXPECT_GE(stats.ext_hook_trip_counts[static_cast<size_t>(Hook::kEvictFolios)],
             1u);
-  EXPECT_GE(stats.ext_hook_trip_counts[static_cast<size_t>(PolicyHook::kAdded)],
+  EXPECT_GE(stats.ext_hook_trip_counts[static_cast<size_t>(Hook::kFolioAdded)],
             1u);
   // After the watchdog fires, the base policy drives eviction directly.
   EXPECT_LE(cg_->charged_pages(), cg_->limit_pages());
@@ -456,13 +456,13 @@ TEST_F(FrameworkTest, LatchedPolicyStillReleasesRemovedFolios) {
   EXPECT_LE(registry.Size(), cg_->charged_pages());
   const uint64_t invocations_before =
       (*policy)->HookHealth().invocations[static_cast<size_t>(
-          PolicyHook::kRemoved)];
+          Hook::kFolioRemoved)];
   ASSERT_TRUE(
       pc_->FadviseRange(lane, *as, cg_, Fadvise::kDontNeed, 0, 0).ok());
   EXPECT_EQ(cg_->charged_pages(), 0u);
   EXPECT_EQ(registry.Size(), 0u);
   EXPECT_EQ((*policy)->HookHealth().invocations[static_cast<size_t>(
-                PolicyHook::kRemoved)],
+                Hook::kFolioRemoved)],
             invocations_before);
 }
 
@@ -510,7 +510,9 @@ TEST_F(FrameworkTest, ProgramBudgetAbortCounted) {
   ASSERT_TRUE(as.ok());
   ASSERT_TRUE(disk_.Truncate((*as)->file(), 64 * kPageSize).ok());
   TouchPages(lane, *as, 0, 2);
-  EXPECT_GE((*policy)->aborted_programs(), 2u);
+  EXPECT_GE((*policy)->HookHealth().violations[static_cast<size_t>(
+                Hook::kFolioAdded)],
+            2u);
 }
 
 TEST_F(FrameworkTest, AdmissionFilterHookConsulted) {
@@ -543,11 +545,8 @@ TEST_F(FrameworkTest, AttachToNullCgroupRejected) {
 // reference the count-only success path must reproduce exactly.
 class ReferenceBreaker {
  public:
-  explicit ReferenceBreaker(const CircuitBreakerOptions& options)
-      : options_(options) {}
-
-  bool Record(PolicyHook hook, bool violation) {
-    HookState& st = hooks_[static_cast<uint32_t>(hook)];
+  bool Record(Hook hook, bool violation) {
+    HookState& st = hooks_[static_cast<size_t>(hook)];
     ++st.window_invocations;
     ++st.total_invocations;
     if (violation) {
@@ -555,15 +554,15 @@ class ReferenceBreaker {
       ++st.total_violations;
     }
     bool newly_tripped = false;
-    if (!st.tripped && st.window_invocations >= options_.min_samples &&
-        static_cast<double>(st.window_violations) >=
-            options_.trip_rate * static_cast<double>(st.window_invocations)) {
+    if (!st.tripped &&
+        st.window_invocations >= HookCircuitBreaker::kMinSamples &&
+        2 * st.window_violations >= st.window_invocations) {
       st.tripped = true;
       ++st.trips;
       newly_tripped = true;
-      degraded_mask_ |= PolicyHookBit(hook);
+      degraded_mask_ |= HookBit(hook);
     }
-    if (st.window_invocations >= options_.window) {
+    if (st.window_invocations >= HookCircuitBreaker::kWindow) {
       st.window_invocations /= 2;
       st.window_violations /= 2;
     }
@@ -572,8 +571,8 @@ class ReferenceBreaker {
       for (const HookState& h : hooks_) {
         tripped_hooks += h.tripped ? 1 : 0;
       }
-      if (tripped_hooks >= options_.hooks_to_detach ||
-          st.total_violations >= options_.hard_violation_limit) {
+      if (tripped_hooks >= HookCircuitBreaker::kHooksToDetach ||
+          st.total_violations >= HookCircuitBreaker::kHardViolationLimit) {
         escalated_ = true;
       }
     }
@@ -587,7 +586,7 @@ class ReferenceBreaker {
     PolicyHookHealth health;
     health.degraded_mask = degraded_mask_;
     health.escalate_detach = escalated_;
-    for (uint32_t i = 0; i < kNumPolicyHooks; ++i) {
+    for (size_t i = 0; i < kNumHooks; ++i) {
       health.trips[i] = hooks_[i].trips;
       health.violations[i] = hooks_[i].total_violations;
       health.invocations[i] = hooks_[i].total_invocations;
@@ -605,8 +604,7 @@ class ReferenceBreaker {
     bool tripped = false;
   };
 
-  CircuitBreakerOptions options_;
-  std::array<HookState, kNumPolicyHooks> hooks_{};
+  std::array<HookState, kNumHooks> hooks_{};
   uint32_t degraded_mask_ = 0;
   bool escalated_ = false;
 };
@@ -620,48 +618,41 @@ void ExpectSameHealth(const PolicyHookHealth& got,
   EXPECT_EQ(got.invocations, want.invocations) << "sequence " << seq;
 }
 
-CircuitBreakerOptions RandomBreakerOptions(Rng& rng) {
-  CircuitBreakerOptions options;  // the defaults, a third of the time
-  switch (rng.NextU64Below(3)) {
-    case 0:
-      break;
-    case 1:  // small windows: decay and trips on nearly every sequence
-      options.window = static_cast<uint32_t>(rng.NextU64InRange(1, 8));
-      options.min_samples =
-          static_cast<uint32_t>(rng.NextU64InRange(0, options.window));
-      options.hard_violation_limit = rng.NextU64InRange(4, 64);
-      break;
-    default: {  // anything, including bounds that let a success trip
-      options.window = static_cast<uint32_t>(rng.NextU64InRange(1, 80));
-      options.min_samples = static_cast<uint32_t>(rng.NextU64InRange(0, 20));
-      static constexpr double kRates[] = {0.0, 0.1, 0.5, 0.9, 1.0, 1.5};
-      options.trip_rate = kRates[rng.NextU64Below(6)];
-      options.hooks_to_detach =
-          static_cast<uint32_t>(rng.NextU64InRange(0, 4));
-      options.hard_violation_limit = rng.NextU64InRange(0, 40);
-      break;
-    }
-  }
-  return options;
-}
-
 TEST(HookCircuitBreakerTest, CountOnlySuccessesMatchLockedReference) {
+  // A pinned input first: the fixed thresholds, as behaviour. A fresh hook
+  // fed only violations is not degraded after kMinSamples - 1 = 15 records
+  // and is degraded on the 16th; a second tripped hook escalates.
+  {
+    HookCircuitBreaker breaker;
+    ReferenceBreaker reference;
+    for (const Hook hook : {Hook::kEvictFolios, Hook::kFolioAdded}) {
+      for (int record = 1; record <= 16; ++record) {
+        const bool tripped = record == 16;
+        ASSERT_EQ(breaker.Record(hook, true), tripped) << record;
+        ASSERT_EQ(reference.Record(hook, true), tripped) << record;
+        ASSERT_EQ(breaker.Degraded(hook), tripped) << record;
+      }
+      ASSERT_EQ(breaker.escalated(), hook == Hook::kFolioAdded);
+      ExpectSameHealth(breaker.Health(), reference.Health(), 0);
+    }
+    EXPECT_EQ(breaker.degraded_mask(),
+              HookBit(Hook::kEvictFolios) | HookBit(Hook::kFolioAdded));
+  }
+
   Rng rng(0xb4ea4e5);
   constexpr uint64_t kSequences = 12000;
   for (uint64_t seq = 0; seq < kSequences; ++seq) {
-    const CircuitBreakerOptions options = RandomBreakerOptions(rng);
-    HookCircuitBreaker breaker(options);
-    ReferenceBreaker reference(options);
+    HookCircuitBreaker breaker;
+    ReferenceBreaker reference;
     // Few hooks per sequence so windows fill; a per-sequence violation
-    // rate from clean to mostly failing.
-    const uint32_t nr_hooks =
-        static_cast<uint32_t>(rng.NextU64InRange(1, kNumPolicyHooks));
+    // rate from clean to mostly failing. Hook 0 is kPolicyInit, which the
+    // breaker never sees.
+    const uint64_t nr_hooks = rng.NextU64InRange(1, kNumHooks - 1);
     static constexpr double kViolationRates[] = {0.0, 0.01, 0.1, 0.4, 0.8};
     const double violation_rate = kViolationRates[rng.NextU64Below(5)];
     const uint64_t length = rng.NextU64InRange(1, 400);
     for (uint64_t step = 0; step < length; ++step) {
-      const auto hook =
-          static_cast<PolicyHook>(rng.NextU64Below(nr_hooks));
+      const auto hook = static_cast<Hook>(1 + rng.NextU64Below(nr_hooks));
       const bool violation = rng.NextBool(violation_rate);
       ASSERT_EQ(breaker.Record(hook, violation),
                 reference.Record(hook, violation))

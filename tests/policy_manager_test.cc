@@ -261,9 +261,7 @@ TEST_F(PolicyManagerTest, WatchdogRevertAuditedForManagedPolicy) {
 }
 
 TEST_F(PolicyManagerTest, QuarantineBackoffThenReattach) {
-  PolicyManagerOptions options;
-  options.quarantine_backoff_initial = 1;
-  PolicyManager manager(pc_.get(), options);
+  PolicyManager manager(pc_.get());
   ASSERT_TRUE(manager.Request(cg_, "fifo").ok());
   EscalateWatchdog();
 
@@ -308,25 +306,34 @@ TEST_F(PolicyManagerTest, QuarantineBackoffThenReattach) {
 }
 
 TEST_F(PolicyManagerTest, RepeatOffenderBannedAfterStrikeLimit) {
-  PolicyManagerOptions options;
-  options.quarantine_backoff_initial = 1;
-  options.quarantine_strike_limit = 2;
-  PolicyManager manager(pc_.get(), options);
+  ASSERT_EQ(kQuarantineStrikeLimit, 3u);
+  PolicyManager manager(pc_.get());
   ASSERT_TRUE(manager.Request(cg_, "fifo").ok());
 
-  // Strike 1: quarantine, then a clean re-attach.
-  EscalateWatchdog();
-  manager.Poll();
-  EXPECT_EQ(manager.QuarantineFor(cg_).strikes, 1u);
-  manager.Poll();  // re-attach
-  ASSERT_EQ(manager.PolicyFor(cg_), "fifo");
+  // Strikes 1 and 2: quarantine, then a clean re-attach once the backoff
+  // (1, then 2 poll cycles) runs out.
+  for (uint32_t strike = 1; strike < kQuarantineStrikeLimit; ++strike) {
+    EscalateWatchdog();
+    manager.Poll();
+    const auto q = manager.QuarantineFor(cg_);
+    EXPECT_TRUE(q.quarantined);
+    EXPECT_FALSE(q.banned);
+    EXPECT_EQ(q.strikes, strike);
+    const uint32_t backoff = kQuarantineBackoffInitial << (strike - 1);
+    for (uint32_t poll = 1; poll < backoff; ++poll) {
+      manager.Poll();  // backoff countdown
+      ASSERT_EQ(manager.PolicyFor(cg_), "");
+    }
+    manager.Poll();  // re-attach
+    ASSERT_EQ(manager.PolicyFor(cg_), "fifo");
+  }
 
-  // Strike 2: over the limit — permanently banned.
+  // Strike 3: at the limit — permanently banned.
   EscalateWatchdog();
   manager.Poll();
   auto q = manager.QuarantineFor(cg_);
   EXPECT_TRUE(q.banned);
-  EXPECT_EQ(q.strikes, 2u);
+  EXPECT_EQ(q.strikes, kQuarantineStrikeLimit);
   EXPECT_TRUE(pc_->StatsFor(cg_).ext_banned);
   {
     const auto log = manager.audit_log();
@@ -350,14 +357,12 @@ TEST_F(PolicyManagerTest, RepeatOffenderBannedAfterStrikeLimit) {
 }
 
 TEST_F(PolicyManagerTest, AuditLogIsBoundedRing) {
-  PolicyManagerOptions options;
-  options.audit_capacity = 8;
-  PolicyManager manager(pc_.get(), options);
-  for (int i = 0; i < 12; ++i) {
+  PolicyManager manager(pc_.get());
+  for (size_t i = 0; i < kAuditCapacity + 4; ++i) {
     EXPECT_FALSE(manager.Request(cg_, "belady_oracle").ok());
   }
   const auto log = manager.audit_log();
-  EXPECT_EQ(log.size(), 8u);
+  EXPECT_EQ(log.size(), kAuditCapacity);
   EXPECT_EQ(manager.audit_dropped(), 4u);
   for (const auto& event : log) {
     EXPECT_EQ(event.kind, PolicyManager::EventKind::kDenied);

@@ -1,14 +1,11 @@
-// Unit tests for src/util: Status/Expected, Rng, Histogram, IntrusiveList,
-// Fixed-point.
+// Unit tests for src/util: Status/Expected, Rng, Histogram, IntrusiveList.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <set>
 #include <thread>
 #include <vector>
 
-#include "src/util/fixed_point.h"
 #include "src/util/histogram.h"
 #include "src/util/intrusive_list.h"
 #include "src/util/rng.h"
@@ -372,37 +369,6 @@ TEST(IntrusiveListTest, UnlinkedNodeState) {
   EXPECT_TRUE(a.node.IsLinked());
   list.Remove(&a);
   EXPECT_FALSE(a.node.IsLinked());
-}
-
-// --- Fixed point -------------------------------------------------------------
-
-TEST(FixedPointTest, IntRoundTrip) {
-  EXPECT_EQ(Fixed::FromInt(7).ToInt(), 7);
-  EXPECT_EQ(Fixed::FromInt(-3).ToInt(), -3);
-}
-
-TEST(FixedPointTest, RatioAndArithmetic) {
-  const Fixed half = Fixed::FromRatio(1, 2);
-  EXPECT_NEAR(half.ToDouble(), 0.5, 1e-9);
-  EXPECT_NEAR((half + half).ToDouble(), 1.0, 1e-9);
-  EXPECT_NEAR((half * half).ToDouble(), 0.25, 1e-9);
-  EXPECT_NEAR((Fixed::FromInt(3) / Fixed::FromInt(4)).ToDouble(), 0.75, 1e-9);
-  EXPECT_NEAR((Fixed::FromInt(1) - half).ToDouble(), 0.5, 1e-9);
-}
-
-TEST(FixedPointTest, Comparisons) {
-  EXPECT_LT(Fixed::FromRatio(1, 3), Fixed::FromRatio(1, 2));
-  EXPECT_EQ(Fixed::FromInt(2), Fixed::FromRatio(4, 2));
-}
-
-TEST(FixedPointTest, EwmaConverges) {
-  Fixed value = Fixed::FromInt(0);
-  const Fixed target = Fixed::FromInt(100);
-  const Fixed alpha = Fixed::FromRatio(1, 4);
-  for (int i = 0; i < 100; ++i) {
-    value.Ewma(target, alpha);
-  }
-  EXPECT_NEAR(value.ToDouble(), 100.0, 0.01);
 }
 
 }  // namespace

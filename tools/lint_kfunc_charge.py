@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Static lint for the cache_ext kfunc surface and fault-point registry.
 
-Two invariants the C++ compiler cannot check for us:
+Three invariants the C++ compiler cannot check for us:
 
 1. Every kfunc on CacheExtApi (the surface handed to policy programs)
    must charge the running program's helper budget via ChargeHelperCall().
@@ -14,14 +14,16 @@ Two invariants the C++ compiler cannot check for us:
    InjectFault(...) call site under src/. A declared-but-unregistered
    point silently disables chaos coverage for that failure mode.
 
-3. Every PolicyHook enumerator (src/pagecache/eviction.h) must be wired
-   through the circuit breaker in src/cache_ext/framework.cc: at least
-   one Degraded(PolicyHook::kX) guard AND one RunProgram(PolicyHook::kX,
-   ...) dispatch. A hook added without both (like the PR-8 readahead /
-   admit_order pair) would run policy code with no violation accounting
-   and no degradation path.
+3. Every Hook enumerator (src/bpf/verifier/spec.h, the one hook enum)
+   except kPolicyInit must be wired through the circuit breaker in
+   src/cache_ext/framework.cc: at least one Degraded(Hook::kX) guard AND
+   one RunProgram(Hook::kX, ...) dispatch. A hook added without both would
+   run policy code with no violation accounting and no degradation path.
+   kPolicyInit is exempt by name: Init() runs it once, at load, outside
+   the breaker.
 
-Pure stdlib, no compiler needed; runs as part of tools/check.sh --analyze.
+Pure stdlib, no compiler needed; runs as a ctest (lint_kfunc_charge) and
+as part of tools/check.sh --analyze.
 Exits non-zero with a message per violation.
 """
 
@@ -50,7 +52,7 @@ KFUNC_METHODS = [
 EVICTION_LIST_CC = os.path.join(REPO, "src", "cache_ext", "eviction_list.cc")
 FAULT_H = os.path.join(REPO, "src", "fault", "fault_injector.h")
 FAULT_CC = os.path.join(REPO, "src", "fault", "fault_injector.cc")
-EVICTION_H = os.path.join(REPO, "src", "pagecache", "eviction.h")
+SPEC_H = os.path.join(REPO, "src", "bpf", "verifier", "spec.h")
 FRAMEWORK_CC = os.path.join(REPO, "src", "cache_ext", "framework.cc")
 
 
@@ -162,32 +164,37 @@ def check_fault_registry(errors):
             )
 
 
-def declared_policy_hooks():
-    """PolicyHook enumerator names from src/pagecache/eviction.h."""
-    source = read(EVICTION_H)
-    enum = re.search(r"enum class PolicyHook\s*:\s*\w+\s*\{(.*?)\}", source, re.S)
+# Hooks that run outside the breaker, by name.
+BREAKER_EXEMPT_HOOKS = {"kPolicyInit"}
+
+
+def declared_hooks():
+    """Hook enumerator names from src/bpf/verifier/spec.h."""
+    source = read(SPEC_H)
+    enum = re.search(r"enum class Hook\s*:\s*\w+\s*\{(.*?)\}", source, re.S)
     if enum is None:
         return []
     return re.findall(r"\b(k\w+)\b", enum.group(1))
 
 
+def breaker_wired_hooks():
+    return [h for h in declared_hooks() if h not in BREAKER_EXEMPT_HOOKS]
+
+
 def check_hook_breaker_wiring(errors):
-    hooks = declared_policy_hooks()
-    if not hooks:
-        errors.append("%s: PolicyHook enum not found" % EVICTION_H)
+    if not declared_hooks():
+        errors.append("%s: Hook enum not found" % SPEC_H)
         return
     framework = read(FRAMEWORK_CC)
-    for hook in hooks:
-        if "Degraded(PolicyHook::%s)" % hook not in framework:
+    for hook in breaker_wired_hooks():
+        if "Degraded(Hook::%s)" % hook not in framework:
             errors.append(
-                "%s: PolicyHook::%s has no Degraded() guard — hook keeps "
+                "%s: Hook::%s has no Degraded() guard — hook keeps "
                 "dispatching after its breaker trips" % (FRAMEWORK_CC, hook)
             )
-        if not re.search(
-            r"RunProgram\(PolicyHook::%s\b" % re.escape(hook), framework
-        ):
+        if not re.search(r"RunProgram\(Hook::%s\b" % re.escape(hook), framework):
             errors.append(
-                "%s: PolicyHook::%s is never dispatched via RunProgram() — "
+                "%s: Hook::%s is never dispatched via RunProgram() — "
                 "policy code would run unmetered (no watchdog, no breaker "
                 "accounting)" % (FRAMEWORK_CC, hook)
             )
@@ -213,7 +220,7 @@ def main():
         % (
             len(KFUNC_METHODS),
             len(declared_fault_points()),
-            len(declared_policy_hooks()),
+            len(breaker_wired_hooks()),
         )
     )
     return 0
