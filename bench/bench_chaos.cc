@@ -6,9 +6,11 @@
 // reproducible run-to-run) and pushes a mixed hot/cold read workload
 // through the cgroup while verifying every served page against the backing
 // disk. The table reports what the failure-domain machinery did: injected
-// fault fires, watchdog violations, which hooks tripped, whether the
-// breaker escalated to a detach, and the hit rate before/during/after the
-// storm. Built with CACHE_EXT_SANITIZE=address (tools/check.sh --chaos)
+// fault fires, invalid eviction candidates (ext_violations), the circuit
+// breaker's violations and trips summed over hooks (a detach with no trip
+// is the breaker's lifetime violation limit), which hooks are degraded,
+// whether the breaker escalated to a detach, and the hit rate
+// before/during/after the storm. Built with CACHE_EXT_SANITIZE=address (tools/check.sh --chaos)
 // this doubles as the memory-safety soak for the §4.4 hardening.
 
 #include <cstdio>
@@ -81,6 +83,7 @@ struct Arm {
   std::unique_ptr<CacheExtLoader> loader;
   MemCgroup* cg = nullptr;
   AddressSpace* as = nullptr;
+  CacheExtPolicy* policy = nullptr;  // null for the "default" arm
   Lane lane{0, TaskContext{1, 2}, 21};
   uint64_t content_errors = 0;
   uint64_t io_errors = 0;
@@ -115,6 +118,7 @@ std::unique_ptr<Arm> MakeArm(std::string_view policy_name) {
     auto attached = arm->loader->Attach(arm->cg, std::move(bundle->ops),
                                         arm->pc->options().costs);
     CHECK(attached.ok());
+    arm->policy = *attached;
   }
   return arm;
 }
@@ -170,7 +174,8 @@ int Main() {
   harness::Table table(
       "Chaos soak — kernel fault storm per policy (deterministic seeds)",
       {"policy", "warm hit", "storm hit", "recovered hit", "fault fires",
-       "violations", "degraded hooks", "detached", "content errs"});
+       "ext_violations", "hook violations", "hook trips", "degraded hooks",
+       "detached", "content errs"});
 
   std::vector<std::string> policies = {"default"};
   for (std::string_view name : policies::AvailablePolicies()) {
@@ -189,8 +194,19 @@ int Main() {
         fault::FaultInjector::Global().total_fires() - fires0;
     const double recovered = Drive(*arm, stream, kRecoveryOps);
     const CgroupCacheStats stats = arm->pc->StatsFor(arm->cg);
+    uint64_t hook_violations = 0;
+    if (arm->policy != nullptr) {
+      for (const uint64_t v : arm->policy->HookHealth().violations) {
+        hook_violations += v;
+      }
+    }
+    uint64_t hook_trips = 0;
+    for (const uint64_t trips : stats.ext_hook_trip_counts) {
+      hook_trips += trips;
+    }
     table.AddRow({name, Pct(warm), Pct(stormy), Pct(recovered),
                   std::to_string(fires), std::to_string(stats.ext_violations),
+                  std::to_string(hook_violations), std::to_string(hook_trips),
                   MaskToString(stats.ext_degraded_hook_mask),
                   stats.ext_detached_by_watchdog ? "yes" : "no",
                   std::to_string(arm->content_errors)});

@@ -10,7 +10,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/bpf/folio_local_storage.h"
@@ -147,6 +149,66 @@ void BM_ListIterateScore512(benchmark::State& state) {
       static_cast<double>(arena.capacity);
 }
 BENCHMARK(BM_ListIterateScore512);
+
+// The same 512-folio scored scan over a list the size of a 32 MiB cgroup
+// (8192 folios) linked in shuffled order, so consecutive list entries are
+// far apart in memory. Before each scan an 8 MiB buffer is read, outside
+// the timed region, standing in for the page-cache traffic between two
+// reclaims: it pushes the folios out of the core's private caches, as in
+// a real run, where each folio is scanned once per 16 evictions. Unlike
+// BM_ListIterateScore512 (1024 folios in allocation order, always cached),
+// this shows the cost of reaching cold folios. Reports ns per scanned folio.
+void BM_ListIterateScoreCold(benchmark::State& state) {
+  constexpr int kFolios = 8192;
+  constexpr uint64_t kScan = 512;
+  FolioRegistry registry(1 << 16);
+  CacheExtApi api(&registry);
+  const uint64_t list = *api.ListCreate();
+  std::vector<std::unique_ptr<Folio>> folios;
+  for (int i = 0; i < kFolios; ++i) {
+    folios.push_back(std::make_unique<Folio>());
+    folios.back()->index = static_cast<uint64_t>(i);
+    registry.Insert(folios.back().get());
+  }
+  std::vector<Folio*> order;
+  for (const auto& folio : folios) {
+    order.push_back(folio.get());
+  }
+  Rng rng(42);
+  for (size_t i = order.size() - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.NextU64Below(i + 1)]);
+  }
+  for (Folio* folio : order) {
+    (void)api.ListAdd(list, folio, true);
+  }
+  std::vector<uint64_t> traffic((8u << 20) / sizeof(uint64_t), 1);
+  uint64_t sink = 0;
+  for (auto _ : state) {
+    for (size_t i = 0; i < traffic.size(); i += 8) {  // one load per line
+      sink += traffic[i];
+    }
+    benchmark::DoNotOptimize(sink);
+    const auto start = std::chrono::steady_clock::now();
+    EvictionCtx ctx;
+    ctx.nr_candidates_requested = 32;
+    IterOpts opts;
+    opts.nr_scan = kScan;
+    opts.on_skip = IterPlacement::kMoveToTail;
+    opts.on_evict = IterPlacement::kMoveToTail;
+    benchmark::DoNotOptimize(
+        api.ListIterateScore(list, opts, &ctx, [](Folio* folio) {
+             return static_cast<int64_t>(folio->index);
+           })
+            .ok());
+    state.SetIterationTime(std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count());
+  }
+  state.counters["ns_per_folio"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kScan),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ListIterateScoreCold)->UseManualTime();
 
 // --- bpf primitives ------------------------------------------------------------
 

@@ -11,14 +11,31 @@
 
 namespace cache_ext {
 
+namespace {
+
+// How far ahead of the cursor a scan prefetches, in slots: far enough to
+// hide a cold folio's miss behind the work on the folios in between.
+constexpr int64_t kPrefetchAhead = 8;
+
+// Prefetch what a scan touches in a folio: its list node (Phase 3's
+// unlink) and its folio-local storage slots (the policy's score lookup).
+void PrefetchFolio(const Folio* folio) {
+  if (folio != nullptr) {
+    __builtin_prefetch(&folio->ext);
+    __builtin_prefetch(&folio->bpf_storage);
+  }
+}
+
+}  // namespace
+
 CacheExtApi::CacheExtApi(FolioRegistry* registry) : registry_(registry) {
   CHECK_NOTNULL(registry_);
 }
 
-// The nodes still on lists live in folios that may already be freed (the
+// The slots still in use point at folios that may already be freed (the
 // verifier dry run's folios, a page cache torn down before its policies), so
-// teardown never walks them. Their owner tags go stale with the registry;
-// the folio's next Insert resets the node.
+// teardown never dereferences them. Their owner tags go stale with the
+// registry; the folio's next Insert resets the node.
 CacheExtApi::~CacheExtApi() = default;
 
 void CacheExtApi::Notify(bpf::verifier::Kfunc kfunc, ErrorCode code,
@@ -38,33 +55,61 @@ const CacheExtApi::ExtList* CacheExtApi::FindList(uint64_t list_id) const {
   return it == lists_.end() ? nullptr : it->second.get();
 }
 
-void CacheExtApi::LinkNode(ExtList* list, uint64_t list_id, ExtListNode* node,
-                           bool tail) {
-  DCHECK(!node->OnList());
-  if (tail) {
-    node->prev = list->head.prev;
-    node->next = &list->head;
-    list->head.prev->next = node;
-    list->head.prev = node;
-  } else {
-    node->next = list->head.next;
-    node->prev = &list->head;
-    list->head.next->prev = node;
-    list->head.next = node;
+void CacheExtApi::Link(ExtList* list, uint64_t list_id, Folio* folio,
+                       bool tail) {
+  ExtListNode& node = folio->ext.node;
+  DCHECK(!node.OnList());
+  if (static_cast<uint64_t>(list->tail - list->head) == list->slots.size()) {
+    // Full: double the array. Positions are logical, so every folio keeps
+    // its position and none is touched.
+    std::vector<Folio*> grown(list->slots.size() * 2);
+    const uint64_t mask = grown.size() - 1;
+    for (int64_t pos = list->head; pos < list->tail; ++pos) {
+      grown[static_cast<uint64_t>(pos) & mask] = list->At(pos);
+    }
+    list->slots = std::move(grown);
   }
-  node->list_id = list_id;
+  node.pos = tail ? list->tail++ : --list->head;
+  list->At(node.pos) = folio;
+  node.list_id = list_id;
   ++list->size;
 }
 
-void CacheExtApi::UnlinkNode(ExtList* list, ExtListNode* node) {
-  DCHECK(node->OnList());
-  node->prev->next = node->next;
-  node->next->prev = node->prev;
-  node->prev = nullptr;
-  node->next = nullptr;
-  node->list_id = 0;
+void CacheExtApi::Unlink(ExtList* list, Folio* folio) {
+  ExtListNode& node = folio->ext.node;
+  DCHECK(node.OnList());
+  DCHECK(list->At(node.pos) == folio);
+  list->At(node.pos) = nullptr;
+  node.list_id = 0;
   DCHECK(list->size > 0);
   --list->size;
+  while (list->head < list->tail && list->At(list->head) == nullptr) {
+    ++list->head;
+  }
+  while (list->tail > list->head && list->At(list->tail - 1) == nullptr) {
+    --list->tail;
+  }
+}
+
+void CacheExtApi::MaybeCompact(ExtList* list) {
+  const uint64_t span = static_cast<uint64_t>(list->tail - list->head);
+  if (span - list->size <= list->size) {
+    return;  // tombstones do not outnumber live folios
+  }
+  int64_t out = list->head;
+  for (int64_t pos = list->head; pos < list->tail; ++pos) {
+    Folio* folio = list->At(pos);
+    if (folio == nullptr) {
+      continue;
+    }
+    if (pos != out) {
+      list->At(out) = folio;
+      list->At(pos) = nullptr;
+      folio->ext.node.pos = out;
+    }
+    ++out;
+  }
+  list->tail = out;
 }
 
 Expected<uint64_t> CacheExtApi::ListCreate() {
@@ -103,7 +148,7 @@ Status CacheExtApi::ListAdd(uint64_t list_id, Folio* folio, bool tail) {
     if (node->OnList()) {
       return FailedPrecondition("folio already on a list (use list_move)");
     }
-    LinkNode(list, list_id, node, tail);
+    Link(list, list_id, folio, tail);
     return OkStatus();
   }();
   Notify(bpf::verifier::Kfunc::kListAdd, st.code(), list_id);
@@ -130,9 +175,10 @@ Status CacheExtApi::ListMove(uint64_t list_id, Folio* folio, bool tail) {
     if (node->OnList()) {
       ExtList* src = FindList(node->list_id);
       CHECK_NOTNULL(src);
-      UnlinkNode(src, node);
+      Unlink(src, folio);
+      MaybeCompact(src);
     }
-    LinkNode(dst, list_id, node, tail);
+    Link(dst, list_id, folio, tail);
     return OkStatus();
   }();
   Notify(bpf::verifier::Kfunc::kListMove, st.code(), list_id);
@@ -154,7 +200,8 @@ Status CacheExtApi::ListDel(Folio* folio) {
     }
     ExtList* list = FindList(node->list_id);
     CHECK_NOTNULL(list);
-    UnlinkNode(list, node);
+    Unlink(list, folio);
+    MaybeCompact(list);
     return OkStatus();
   }();
   Notify(bpf::verifier::Kfunc::kListDel, st.code(), 0);
@@ -213,8 +260,40 @@ void CacheExtApi::UnlinkForRemoval(Folio* folio) {
   if (node->OnList()) {
     ExtList* list = FindList(node->list_id);
     CHECK_NOTNULL(list);
-    UnlinkNode(list, node);
+    Unlink(list, folio);
+    MaybeCompact(list);
   }
+}
+
+std::vector<Folio*> CacheExtApi::CheckedOrder(uint64_t list_id) const {
+  MutexLock lock(mu_);
+  std::vector<Folio*> order;
+  const ExtList* list = FindList(list_id);
+  if (list == nullptr) {
+    return order;
+  }
+  const uint64_t cap = list->slots.size();
+  CHECK(cap > 0 && (cap & (cap - 1)) == 0);
+  CHECK(list->head <= list->tail);
+  const uint64_t span = static_cast<uint64_t>(list->tail - list->head);
+  CHECK(span <= cap);
+  for (uint64_t i = span; i < cap; ++i) {
+    CHECK(list->At(list->tail + static_cast<int64_t>(i - span)) == nullptr);
+  }
+  if (span > 0) {
+    CHECK(list->At(list->head) != nullptr);
+    CHECK(list->At(list->tail - 1) != nullptr);
+  }
+  for (int64_t pos = list->head; pos < list->tail; ++pos) {
+    Folio* folio = list->At(pos);
+    if (folio != nullptr) {
+      CHECK_EQ(folio->ext.node.list_id, list_id);
+      CHECK_EQ(folio->ext.node.pos, pos);
+      order.push_back(folio);
+    }
+  }
+  CHECK_EQ(order.size(), list->size);
+  return order;
 }
 
 uint64_t CacheExtApi::nr_lists() const {
@@ -222,22 +301,22 @@ uint64_t CacheExtApi::nr_lists() const {
   return lists_.size();
 }
 
-void CacheExtApi::Place(ExtList* list, uint64_t list_id, ExtListNode* node,
+void CacheExtApi::Place(ExtList* list, uint64_t list_id, Folio* folio,
                         IterPlacement placement, uint64_t dst_list_id) {
   switch (placement) {
     case IterPlacement::kKeepInPlace:
       return;
     case IterPlacement::kMoveToTail:
-      UnlinkNode(list, node);
-      LinkNode(list, list_id, node, /*tail=*/true);
+      Unlink(list, folio);
+      Link(list, list_id, folio, /*tail=*/true);
       return;
     case IterPlacement::kMoveToList: {
       ExtList* dst = FindList(dst_list_id);
       if (dst == nullptr) {
         return;  // bad destination: leave in place (bounds-checked kfunc)
       }
-      UnlinkNode(list, node);
-      LinkNode(dst, dst_list_id, node, /*tail=*/true);
+      Unlink(list, folio);
+      Link(dst, dst_list_id, folio, /*tail=*/true);
       return;
     }
   }
@@ -255,35 +334,42 @@ Status CacheExtApi::ListIterate(uint64_t list_id, const IterOpts& opts,
     if (list == nullptr) {
       return NotFound("bad list id");
     }
-    // Examine at most min(nr_scan, initial size) folios: every examined node
-    // is either left behind the cursor, rotated to the tail, or moved to
-    // another list, so no node is seen twice in one call.
+    MaybeCompact(list);  // before the cursor exists: it renumbers
+    // Examine at most min(nr_scan, initial size) folios: every examined
+    // folio is either left behind the cursor, rotated to the tail, or moved
+    // to another list, so none is seen twice in one call. Placements keep
+    // positions, so the cursor stays valid; clamping it to head skips at
+    // once the tombstones that trimming moved head past.
     uint64_t bound = std::min<uint64_t>(opts.nr_scan, list->size);
-    ExtListNode* node = list->head.next;
-    while (bound-- > 0 && node != &list->head) {
-      ExtListNode* next = node->next;
+    for (int64_t pos = list->head; bound > 0 && pos < list->tail;
+         pos = std::max(pos + 1, list->head)) {
+      PrefetchFolio(list->At(pos + kPrefetchAhead));
+      Folio* folio = list->At(pos);
+      if (folio == nullptr) {
+        continue;  // tombstone
+      }
+      --bound;
       // Each callback invocation charges the program budget (enforced loop
       // termination, §4.4).
       if (!bpf::ChargeHelperCall()) {
         return ResourceExhausted("program helper budget exhausted");
       }
       ++examined;
-      const IterVerdict verdict = fn(node->folio);
+      const IterVerdict verdict = fn(folio);
       if (verdict == IterVerdict::kStop) {
         break;
       }
       if (verdict == IterVerdict::kEvict) {
         if (ctx != nullptr) {
-          ctx->Propose(node->folio);
+          ctx->Propose(folio);
         }
-        Place(list, list_id, node, opts.on_evict, opts.dst_list_evict);
+        Place(list, list_id, folio, opts.on_evict, opts.dst_list_evict);
         if (ctx != nullptr && ctx->Full()) {
           break;
         }
       } else {
-        Place(list, list_id, node, opts.on_skip, opts.dst_list_skip);
+        Place(list, list_id, folio, opts.on_skip, opts.dst_list_skip);
       }
-      node = next;
     }
     return OkStatus();
   }();
@@ -306,27 +392,32 @@ Status CacheExtApi::ListIterateScore(uint64_t list_id, const IterOpts& opts,
     if (list == nullptr) {
       return NotFound("bad list id");
     }
+    MaybeCompact(list);  // before the cursor exists: it renumbers
 
-    // Phase 1: score the first N folios. The batch lives in the
-    // per-policy arena (not a fresh std::vector), so steady-state
-    // reclaim performs zero heap allocations once the arena has grown
-    // to the policy's batch size.
+    // Phase 1: score the first N folios, in one pass over the slots. The
+    // batch lives in the per-policy arena (not a fresh std::vector), so
+    // steady-state reclaim performs zero heap allocations once the arena
+    // has grown to the policy's batch size.
     struct Scored {
       int64_t score;
-      ExtListNode* node;
+      Folio* folio;
     };
     const uint64_t bound = std::min<uint64_t>(opts.nr_scan, list->size);
     Scored* scored =
         static_cast<Scored*>(arena_.Reserve(bound * sizeof(Scored)));
     uint64_t nr_scored = 0;
-    ExtListNode* node = list->head.next;
-    for (uint64_t i = 0; i < bound && node != &list->head; ++i) {
+    for (int64_t pos = list->head; nr_scored < bound && pos < list->tail;
+         ++pos) {
+      PrefetchFolio(list->At(pos + kPrefetchAhead));
+      Folio* folio = list->At(pos);
+      if (folio == nullptr) {
+        continue;  // tombstone
+      }
       if (!bpf::ChargeHelperCall()) {
         return ResourceExhausted("program helper budget exhausted");
       }
       ++examined;
-      new (&scored[nr_scored++]) Scored{fn(node->folio), node};
-      node = node->next;
+      new (&scored[nr_scored++]) Scored{fn(folio), folio};
     }
 
     // Phase 2: select the C lowest-scored folios (§4.2.3).
@@ -345,12 +436,12 @@ Status CacheExtApi::ListIterateScore(uint64_t list_id, const IterOpts& opts,
     // Phase 3: propose the selected, apply placements. The first c entries
     // of `scored` are the selected ones after nth_element.
     for (uint64_t i = 0; i < nr_scored; ++i) {
-      ExtListNode* n = scored[i].node;
+      Folio* folio = scored[i].folio;
       if (i < c) {
-        ctx->Propose(n->folio);
-        Place(list, list_id, n, opts.on_evict, opts.dst_list_evict);
+        ctx->Propose(folio);
+        Place(list, list_id, folio, opts.on_evict, opts.dst_list_evict);
       } else {
-        Place(list, list_id, n, opts.on_skip, opts.dst_list_skip);
+        Place(list, list_id, folio, opts.on_skip, opts.dst_list_skip);
       }
     }
     return OkStatus();

@@ -1,9 +1,19 @@
 // The eviction-list kfunc API (Table 2, §4.2.2-§4.2.3).
 //
-// Policies organize folios into variable-sized linked lists of folio
-// *pointers* (the folios themselves stay in the page cache). Lists are
-// created at init time and manipulated from the policy-function hooks; the
-// eviction hook walks them with list_iterate() to propose candidates.
+// Policies organize folios into variable-sized lists of folio *pointers*
+// (the folios themselves stay in the page cache). Lists are created at init
+// time and manipulated from the policy-function hooks; the eviction hook
+// walks them with list_iterate() to propose candidates.
+//
+// Each list is a ring of Folio* slots indexed by logical position (the
+// array-backed LRU of KVell's used_pages): adding at the tail writes slot
+// tail++, adding at the head writes slot --head, and a folio's node records
+// its position so unlink is O(1) — it nulls the slot (a tombstone), and
+// leading/trailing tombstones are trimmed. Growth doubles the array and
+// keeps every position; compaction renumbers the live slots once
+// tombstones outnumber them, and only runs where no scan cursor is live.
+// A scan therefore reads consecutive pointers instead of chasing list
+// nodes through cold folios, and prefetches the folios a few slots ahead.
 //
 // Everything here is concurrency-safe with locking "under the hood"
 // (§4.2.4) and bounds-checked (§4.4): list ids are validated, folios must be
@@ -19,6 +29,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "src/bpf/verifier/spec.h"
 #include "src/cache_ext/registry.h"
@@ -169,6 +180,13 @@ class CacheExtApi {
   // without charging any program budget. Not observed.
   void UnlinkForRemoval(Folio* folio);
 
+  // Framework-internal (not a kfunc): the folios of `list_id` head to tail,
+  // after CHECKing the list's slot invariants — no slot outside
+  // [head, tail) is in use, both ends are live, each live slot's node names
+  // this list and that slot, and the live count equals the size. Empty for
+  // a bad id. Charges nothing and is not observed.
+  std::vector<Folio*> CheckedOrder(uint64_t list_id) const;
+
   uint64_t nr_lists() const;
 
   // Scratch-arena counters for this policy's eviction path.
@@ -182,25 +200,33 @@ class CacheExtApi {
   void set_observer(ApiObserver* observer) { observer_ = observer; }
 
  private:
+  // The slot ring. Live folios sit at positions [head, tail); a null slot
+  // in that span is a tombstone, and every slot outside it is null.
   struct ExtList {
-    ExtListNode head;  // sentinel: folio == nullptr
-    uint64_t size = 0;
+    std::vector<Folio*> slots = std::vector<Folio*>(16);  // power-of-two size
+    int64_t head = 0;
+    int64_t tail = 0;
+    uint64_t size = 0;  // live folios
 
-    ExtList() {
-      head.prev = &head;
-      head.next = &head;
+    Folio*& At(int64_t pos) {
+      return slots[static_cast<uint64_t>(pos) & (slots.size() - 1)];
+    }
+    Folio* At(int64_t pos) const {
+      return slots[static_cast<uint64_t>(pos) & (slots.size() - 1)];
     }
   };
 
   ExtList* FindList(uint64_t list_id) CACHE_EXT_REQUIRES(mu_);
   const ExtList* FindList(uint64_t list_id) const CACHE_EXT_REQUIRES(mu_);
 
-  // Linking helpers; mu_ must be held (static, so the requirement is by
-  // convention — every caller is an annotated member).
-  static void LinkNode(ExtList* list, uint64_t list_id, ExtListNode* node,
-                       bool tail);
-  static void UnlinkNode(ExtList* list, ExtListNode* node);
-  void Place(ExtList* list, uint64_t list_id, ExtListNode* node,
+  // Slot helpers; mu_ must be held (static, so the requirement is by
+  // convention — every caller is an annotated member). Link and Unlink keep
+  // every position, so they are safe under a live scan cursor; Compact
+  // renumbers and must not run while one is.
+  static void Link(ExtList* list, uint64_t list_id, Folio* folio, bool tail);
+  static void Unlink(ExtList* list, Folio* folio);
+  static void MaybeCompact(ExtList* list);
+  void Place(ExtList* list, uint64_t list_id, Folio* folio,
              IterPlacement placement, uint64_t dst_list_id)
       CACHE_EXT_REQUIRES(mu_);
 
@@ -210,7 +236,7 @@ class CacheExtApi {
 
   FolioRegistry* registry_;
   ApiObserver* observer_ = nullptr;
-  mutable Mutex mu_;  // guards lists_, all node linkage, and arena_
+  mutable Mutex mu_;  // guards lists_, every node and slot, and arena_
   uint64_t next_list_id_ CACHE_EXT_GUARDED_BY(mu_) = 1;
   std::unordered_map<uint64_t, std::unique_ptr<ExtList>> lists_
       CACHE_EXT_GUARDED_BY(mu_);

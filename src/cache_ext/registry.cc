@@ -26,7 +26,6 @@ bool FolioRegistry::Insert(Folio* folio) {
   }
   FolioExtState& ext = folio->ext;
   ext.node = ExtListNode{};
-  ext.node.folio = folio;
   ext.owner = id_;
   Bucket& bucket = buckets_[BucketFor(folio)];
   {

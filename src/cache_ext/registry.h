@@ -9,7 +9,7 @@
 // Folio pointers the page cache itself passes in (the added / accessed /
 // removed hooks, and the folio argument a hook hands to the list kfuncs) are
 // trusted, so they skip the hash: each folio carries its cache_ext state
-// (Folio::ext) — the eviction-list node that makes list_del() and
+// (Folio::ext) — the list id and slot position that make list_del() and
 // list_move() O(1), an owner tag naming the registering attachment, and
 // this registry's bucket-chain link. Owns() is then one tag compare, and
 // Insert/Remove link the folio into its bucket chain with no allocation.

@@ -37,14 +37,12 @@ enum FolioFlag : uint32_t {
   kFolioWriteback = 1u << 6,   // device write in flight (PG_writeback)
 };
 
-// Node linking a folio into one cache_ext eviction list (§4.2.2). prev/next
-// point at other folios' nodes (or a list sentinel). list_id == 0 means
-// "not on a list".
+// A folio's place on one cache_ext eviction list (§4.2.2): the list's id
+// and the folio's logical position in that list's slot array, so unlink and
+// move find the slot in O(1). list_id == 0 means "not on a list".
 struct ExtListNode {
-  ExtListNode* prev = nullptr;
-  ExtListNode* next = nullptr;
   uint64_t list_id = 0;
-  Folio* folio = nullptr;  // back-pointer for iteration
+  int64_t pos = 0;
 
   bool OnList() const { return list_id != 0; }
 };

@@ -75,15 +75,17 @@ TEST(RegistryTest, GarbagePointersNotContained) {
   EXPECT_FALSE(registry.Contains(&real + 1));
 }
 
-TEST(RegistryTest, FindReturnsNodeWithBackPointer) {
+TEST(RegistryTest, FindReturnsTheFolioEmbeddedResetNode) {
   FolioRegistry registry(64);
   Folio folio;
+  // A stale node, as a detached attachment's list would leave it.
+  folio.ext.node = ExtListNode{/*list_id=*/7, /*pos=*/42};
   registry.Insert(&folio);
   ExtListNode* node = registry.Find(&folio);
   ASSERT_NE(node, nullptr);
   EXPECT_EQ(node, &folio.ext.node);
-  EXPECT_EQ(node->folio, &folio);
   EXPECT_FALSE(node->OnList());
+  EXPECT_EQ(node->pos, 0);
   EXPECT_EQ(registry.Find(nullptr), nullptr);
   // Find trusts its argument; a garbage pointer is the untrusted checks'
   // job, and neither dereferences it.

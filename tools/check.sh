@@ -5,7 +5,7 @@
 #                               # ./build
 #   tools/check.sh --sanitize   # additionally build + ctest under ASan+UBSan
 #                               # (warnings are errors in every build)
-#   tools/check.sh --chaos      # ASan build, chaos-labelled tests (incl.
+#   tools/check.sh --chaos      # ASan+UBSan build, chaos-labelled tests (incl.
 #                               # the reclaim stall/death/overshoot suite)
 #                               # + the bench_chaos fault-storm soak
 #   tools/check.sh --tsan       # ThreadSanitizer build, MT stress tests
@@ -71,10 +71,11 @@ run_suite() {
 }
 
 if [[ "$chaos" == 1 ]]; then
-  # Chaos harness under AddressSanitizer: fault storms must be memory-clean
-  # (no invalid folio pointer is ever dereferenced, §4.4).
-  echo "== chaos: ASan build + chaos-labelled tests (build-asan/) =="
-  cmake -B build-asan -DCACHE_EXT_SANITIZE=address \
+  # Chaos harness under ASan+UBSan: fault storms must be memory-clean
+  # (no invalid folio pointer is ever dereferenced, §4.4). Same sanitizer
+  # set as --sanitize, so the two share build-asan/ without a rebuild.
+  echo "== chaos: ASan+UBSan build + chaos-labelled tests (build-asan/) =="
+  cmake -B build-asan -DCACHE_EXT_SANITIZE=address,undefined \
       -DCMAKE_CXX_FLAGS=-Werror >/dev/null
   cmake --build build-asan -j "$jobs"
   ctest --test-dir build-asan -L chaos -j "$jobs" --output-on-failure
